@@ -1,0 +1,90 @@
+"""Golden byte corpus: exact report and stdout bytes of audit-type commands.
+
+Each case runs in-process through `cli.main`; the corpus stores the
+sha256 of the report file and of stdout, plus the exit code.  A change
+that claims to keep reports byte-identical must leave this test green.
+
+To re-record after an intended output change, run by hand from the
+repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
+
+FIXTURES = ("min2", "std6", "std8", "overlap2", "irrev6")
+#: file name -> random_problem(seed, n_macrostates, n_middle_rewards)
+RANDOM_INSTANCES = {"rand0.json": (0, 6, 1), "rand1.json": (1, 5, 0)}
+
+
+def cases() -> dict[str, list[str]]:
+    """Case id -> argv; `{inst}` is the random-instance directory."""
+    targets = list(FIXTURES) + [f"{{inst}}/{name}"
+                                for name in RANDOM_INSTANCES]
+    out = {}
+    for target in targets:
+        tag = target.rsplit("/", 1)[-1]
+        out[f"validate {tag}"] = ["validate", target]
+        out[f"audit-richness {tag} seed=0"] = [
+            "audit-richness", "--seed", "0", target]
+        out[f"audit-rationality born {tag} seed=0"] = [
+            "audit-rationality", "--seed", "0", "--oracle", "born", target]
+    for axiom in ("branch-uniqueness", "equivalence-step"):
+        for seed in ("0", "1"):
+            out[f"counterexample orthmacr {axiom} overlap2 seed={seed}"] = [
+                "counterexample", "--relax", "orthmacr", "--axiom", axiom,
+                "--seed", seed, "overlap2"]
+    return out
+
+
+def write_random_instances(directory: Path) -> None:
+    from qdtbench.instances import random_problem
+    from qdtbench.io import save_instance
+    for name, args in RANDOM_INSTANCES.items():
+        save_instance(random_problem(*args), directory / name)
+
+
+def run_case(argv: list[str], directory: Path) -> dict:
+    """Exit code and the sha256 of the report and stdout bytes."""
+    from qdtbench import cli
+    report = directory / "report.json"
+    report.unlink(missing_ok=True)
+    argv = [a.replace("{inst}", str(directory)) for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv + ["--report", str(report)])
+    return {"exit": rc,
+            "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest(),
+            "stdout_sha256": hashlib.sha256(
+                buf.getvalue().encode("utf-8")).hexdigest()}
+
+
+def run_all(directory: Path) -> dict[str, dict]:
+    write_random_instances(directory)
+    return {cid: run_case(argv, directory) for cid, argv in cases().items()}
+
+
+def test_golden_corpus(tmp_path):
+    expected = json.loads(CORPUS.read_text(encoding="utf-8"))
+    got = run_all(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [cid for cid in expected if got[cid] != expected[cid]]
+    assert not changed, f"output bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = run_all(Path(tmp))
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(corpus, sort_keys=True, indent=2) + "\n",
+                      encoding="utf-8")
+    print(f"recorded {len(corpus)} cases to {CORPUS}", file=sys.stderr)
