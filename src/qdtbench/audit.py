@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, IntransitiveOracle,
@@ -140,8 +139,9 @@ def perturb_act(act: PartialIsometryAct, radius: float,
     g = (rng.standard_normal(act.matrix.shape)
          + 1j * rng.standard_normal(act.matrix.shape))
     g = g / np.linalg.norm(g, 2)
-    u, _ = scipy.linalg.polar(act.matrix + radius * g, side="right")
-    return PartialIsometryAct(act.domain, u, label=act.label)
+    # the right polar factor w @ vh, as scipy.linalg.polar computes it
+    w, _, vh = np.linalg.svd(act.matrix + radius * g, full_matrices=False)
+    return PartialIsometryAct(act.domain, w @ vh, label=act.label)
 
 
 def act_distance(a: PartialIsometryAct, b: PartialIsometryAct) -> float:

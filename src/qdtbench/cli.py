@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -85,15 +86,21 @@ def _seed_of(args) -> int:
 
 def _write_report(doc: dict, path: str | None) -> None:
     if path:
-        Path(path).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        try:
+            Path(path).write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_csv(header: list[str], rows: list[list], path: str | None) -> None:
     """RFC-4180-style series: header row, CRLF, `.` decimals."""
     if path:
-        handle = open(path, "w", newline="", encoding="utf-8")
+        try:
+            handle = open(path, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         handle = sys.stdout
     try:
@@ -365,7 +372,38 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
                          f"number list") from None
     if not parts:
         raise UsageError(f"{flag}: empty list")
+    if not all(math.isfinite(v) for v in parts):
+        raise UsageError(f"{flag}: {text!r} has a non-finite entry")
     return parts
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
 
 
 # -- parser ---------------------------------------------------------------
@@ -381,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instance JSON path or bundled fixture name")
         sp.add_argument("--report", help="write the JSON report here")
         if sampled:
-            sp.add_argument("--samples", type=int, default=200)
+            sp.add_argument("--samples", type=_nonnegative_int, default=200)
             sp.add_argument("--seed", type=int, default=None,
                             help="required unless QDT_SEED is set")
         if oracle_kinds:
@@ -429,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", required=True)
     sp.add_argument("--n", required=True,
                     help="comma-separated list of depths")
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--out", help="write the CSV here instead of stdout")
     sp.set_defaults(func=cmd_simulate)
 
@@ -446,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recover the utility table from the oracle")
     with_instance(sp, sampled=False,
                   oracle_kinds=("born", "counting", "table"))
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_positive_float, default=1e-6)
     sp.set_defaults(func=cmd_elicit)
 
     sp = sub.add_parser("classical-vnm",

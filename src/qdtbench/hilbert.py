@@ -6,13 +6,16 @@ subspace).  Everything is immutable and pure.  Subspaces are stored as
 orthonormal bases but compared through projectors, which are gauge
 independent; bases are produced by pivoted Householder QR so identical
 inputs always canonicalize identically.
+
+Only that pivoted QR needs scipy (`scipy.linalg.qr`, imported at first
+use); complements use a numpy SVD.  Code that never orthonormalizes a
+raw span never loads scipy.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, OutsideDomain, ZeroState
 
@@ -115,6 +118,7 @@ def _orthonormal_columns(a: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     d, k = a.shape
     if k == 0:
         return a.copy()
+    import scipy.linalg  # deferred: loading scipy dominates a cold start
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > tol))
@@ -269,9 +273,14 @@ def complement(e: Subspace) -> Subspace:
         return Subspace.full(d)
     if e.dim == d:
         return Subspace.zero(d)
-    # rows of basis^H are orthonormal, so the null space is numerically clean
-    n = scipy.linalg.null_space(e.basis.conj().T)
-    return Subspace(n)
+    # scipy.linalg.null_space(basis^H), computed the same way: full SVD,
+    # rank cut at max(s) * eps * max(shape), then the trailing rows of
+    # vh.  Rows of basis^H are orthonormal, so the cut is numerically clean.
+    a = e.basis.conj().T
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    num = np.sum(s > tol, dtype=int)
+    return Subspace(vh[num:, :].T.conj())
 
 
 def meet(e: Subspace, f: Subspace) -> Subspace:

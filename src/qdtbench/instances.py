@@ -10,7 +10,6 @@ catch; the rest are clean.
 from __future__ import annotations
 
 import numpy as np
-import scipy.stats
 
 from .forge import ActForge
 from .hilbert import PartialIsometryAct, StateVector, Subspace
@@ -160,6 +159,7 @@ def random_problem(seed: int, n_macrostates: int | None = None,
     if n_macrostates - 4 < n_middle_rewards:
         raise ValueError("not enough macrostates for that many middle rewards")
     dim = n_macrostates
+    import scipy.stats  # deferred: the CLI never draws random instances
     frame = scipy.stats.unitary_group.rvs(dim, random_state=rng)
     ids = [f"m{i}" for i in range(n_macrostates)]
     macs = [Macrostate(mid, Subspace(frame[:, [i]]))

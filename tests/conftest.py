@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdtbench.instances import FIXTURE_BUILDERS
@@ -48,3 +49,14 @@ def fixture_path():
     def path_of(name: str) -> str:
         return str(FIXTURE_DIR / f"{name}.json")
     return path_of
+
+
+def unitary_frame(kind: str, dim: int, rng) -> np.ndarray:
+    """A dim x dim unitary: Haar-random ("haar") or a random permutation
+    of the standard basis ("axis")."""
+    if kind == "axis":
+        return np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases

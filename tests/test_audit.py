@@ -10,12 +10,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qdtbench.audit import (PERTURBATION_RADII, audit_rationality,
                             audit_richness, born_theorem_report, check_lemmas,
                             find_counterexample, perturb_act, act_distance)
+from conftest import unitary_frame
 from qdtbench.forge import ActForge
-from qdtbench.hilbert import StateVector
+from qdtbench.hilbert import PartialIsometryAct, StateVector, Subspace
 
 
 def failures(report):
@@ -166,6 +168,26 @@ def test_perturbation_stays_close_and_isometric(std6):
         g = moved.matrix.conj().T @ moved.matrix
         assert np.allclose(g, np.eye(moved.matrix.shape[1]), atol=1e-9)
         assert act_distance(act, moved) <= 2.0 * radius + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["haar", "axis"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_perturbation_matches_scipy_polar_bit_for_bit(dim, kind):
+    rng = np.random.default_rng([dim, 23])
+    for seed in range(3):
+        for rank in range(1, dim + 1):
+            domain = Subspace(unitary_frame(kind, dim, rng)[:, :rank])
+            image = unitary_frame(kind, dim, rng)[:, :rank]
+            act = PartialIsometryAct(domain, image)
+            for radius in PERTURBATION_RADII:
+                got = perturb_act(act, radius,
+                                  np.random.default_rng([seed, rank]))
+                draw = np.random.default_rng([seed, rank])
+                g = (draw.standard_normal(image.shape)
+                     + 1j * draw.standard_normal(image.shape))
+                g = g / np.linalg.norm(g, 2)
+                ref, _ = scipy.linalg.polar(image + radius * g, side="right")
+                assert got.matrix.tobytes() == ref.tobytes()
 
 
 # -- report shape -------------------------------------------------------------

@@ -7,10 +7,12 @@ laws that do hold are checked on random subspaces.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench.errors import OutsideDomain
+from conftest import unitary_frame
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               acts_agree_on, acts_equal, apply_act,
                               basis_state, complement, join, lattice, meet,
@@ -114,6 +116,20 @@ def test_double_complement_and_involution():
     assert sub_eq(complement(complement(e)), e)
     assert meet(e, complement(e)).dim == 0
     assert join(e, complement(e)).dim == 5
+
+
+@pytest.mark.parametrize("kind", ["haar", "axis"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_complement_matches_scipy_null_space_bit_for_bit(dim, kind):
+    rng = np.random.default_rng([dim, 17])
+    for _ in range(5):
+        frame = unitary_frame(kind, dim, rng)
+        for rank in range(1, dim + 1):
+            e = Subspace(frame[:, :rank])
+            got = complement(e).basis
+            ref = scipy.linalg.null_space(e.basis.conj().T)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 # -- partial isometries -------------------------------------------------------

@@ -7,9 +7,13 @@ exit-code split.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qdtbench import cli as qdt_cli
 from qdtbench.errors import ParseError, SchemaError, ValidationError
 from qdtbench.instances import FIXTURE_BUILDERS
 from qdtbench.io import dumps_instance, load_instance, loads_instance
@@ -217,3 +221,53 @@ def test_cli_bundled_fixture_by_name():
     # a bare known name resolves to the packaged instance
     res = cli("validate", "min2.json")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["elicit", "std6", "--tol", "-1"],
+    ["elicit", "std6", "--tol", "nan"],
+    ["validate", "std6", "--report", "{tmp}/missing/r.json"],
+    ["simulate", "--k", "2", "--weights", "0.5,0.5", "--n", "10",
+     "--eps", "0.1", "--out", "{tmp}/missing/s.csv"],
+    ["simulate", "--k", "2", "--weights", "0.5,0.5", "--n", "10",
+     "--eps", "inf"],
+    ["simulate", "--k", "2", "--weights", "0.5,0.5", "--n", "nan",
+     "--eps", "0.1"],
+    ["audit-richness", "--seed", "0", "--samples", "-5", "min2"],
+    ["sweep-grain", "--k", "2", "--weights", "0.5,0.5", "--n", "3",
+     "--theta-list", "nan"],
+])
+def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert qdt_cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
+    # a fresh interpreter: the test session itself has scipy loaded
+    script = """if True:
+        import sys
+        from qdtbench import cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert not loaded(), loaded()
+        for argv in (
+                ["simulate", "--k", "2", "--weights", "0.5,0.5",
+                 "--n", "10,100", "--eps", "0.1", "--out", "sim.csv"],
+                ["sweep-grain", "--k", "2", "--weights", "0.5,0.5",
+                 "--n", "4", "--theta-list", "0.1", "--out", "grain.csv"],
+                ["savage", "--cells", "8", "--report", "savage.json"],
+                ["frobnicate"]):
+            cli.main(argv)
+        assert not loaded(), loaded()
+    """
+    src = str(Path(qdt_cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env=env, capture_output=True, timeout=300)
+    assert res.returncode == 0, res.stderr.decode()
