@@ -15,9 +15,10 @@ import scipy.linalg
 from qdtbench.audit import (PERTURBATION_RADII, audit_rationality,
                             audit_richness, born_theorem_report, check_lemmas,
                             find_counterexample, perturb_act, act_distance)
-from conftest import unitary_frame
 from qdtbench.forge import ActForge
 from qdtbench.hilbert import PartialIsometryAct, StateVector, Subspace
+
+from conftest import unitary_frame
 
 
 def failures(report):

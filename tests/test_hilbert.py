@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench.errors import OutsideDomain
-from conftest import unitary_frame
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               acts_agree_on, acts_equal, apply_act,
                               basis_state, complement, join, lattice, meet,
                               orthonormalize, project)
+
+from conftest import unitary_frame
 
 TOL = 1e-9
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -247,7 +248,7 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
 
 def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
     # a fresh interpreter: the test session itself has scipy loaded
-    script = """if True:
+    script = textwrap.dedent("""
         import sys
         from qdtbench import cli
 
@@ -261,10 +262,10 @@ def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
                 ["sweep-grain", "--k", "2", "--weights", "0.5,0.5",
                  "--n", "4", "--theta-list", "0.1", "--out", "grain.csv"],
                 ["savage", "--cells", "8", "--report", "savage.json"],
-                ["frobnicate"]):
+                ["--help"], ["frobnicate"]):
             cli.main(argv)
         assert not loaded(), loaded()
-    """
+    """)
     src = str(Path(qdt_cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
