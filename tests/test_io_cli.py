@@ -247,7 +247,7 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
 
 
 def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
-    # a fresh interpreter: the test session itself has scipy loaded
+    # a fresh interpreter: this pytest process has already imported scipy
     script = textwrap.dedent("""
         import sys
         from qdtbench import cli
