@@ -37,11 +37,26 @@ def cases() -> dict[str, list[str]]:
             "audit-richness", "--seed", "0", target]
         out[f"audit-rationality born {tag} seed=0"] = [
             "audit-rationality", "--seed", "0", "--oracle", "born", target]
+        for command in ("check-lemmas", "born-theorem"):
+            out[f"{command} {tag} seed=0"] = [command, "--seed", "0", target]
     for axiom in ("branch-uniqueness", "equivalence-step"):
         for seed in ("0", "1"):
             out[f"counterexample orthmacr {axiom} overlap2 seed={seed}"] = [
                 "counterexample", "--relax", "orthmacr", "--axiom", axiom,
                 "--seed", seed, "overlap2"]
+    for axiom in ("Ord", "ActNDeg", "BrIndif", "ErIndif", "ReSup", "StaSup",
+                  "MacIndif", "DiacCons", "BrCons", "SolCont"):
+        out[f"counterexample counting {axiom} overlap2 seed=0"] = [
+            "counterexample", "--oracle", "counting", "--axiom", axiom,
+            "--seed", "0", "overlap2"]
+    out["counterexample table Ord std6 seed=0"] = [
+        "counterexample", "--oracle", "table", "--axiom", "Ord",
+        "--seed", "0", "std6"]
+    for oracle in ("born", "counting", "table"):
+        out[f"elicit {oracle} std6"] = ["elicit", "--oracle", oracle, "std6"]
+    for oracle in ("pmeu", "lex"):
+        out[f"classical-vnm {oracle} std6 seed=0"] = [
+            "classical-vnm", "--seed", "0", "--oracle", oracle, "std6"]
     return out
 
 
