@@ -2,11 +2,18 @@
 lemma chain, on one concrete instance and oracle.
 
 Every check is a sampled (or, where small enough, exhaustive)
-instantiation of a universally quantified statement.  Audits are
-deterministic functions of (instance, oracle, samples, seed): each axiom
-draws from its own seeded substream, so adding samples to one axiom
-never shifts another.  A failing check records a replayable witness
-(serialized states, acts, margins).
+instantiation of a universally quantified statement.  Each axiom and
+lemma is one function, listed in one of three ordered tables (richness,
+rationality, lemmas); the public audits run a whole table, and
+`born_theorem_report` and `find_counterexample` run only the checks
+they report.  Audits are deterministic functions of (instance, oracle,
+samples, seed).  Streams: the check at position i of a table draws only
+from substream base + i, with base 0 (richness), 100 (rationality) or
+200 (lemmas); the richness act catalog draws from stream 90 and the two
+geometric counterexample searches from streams 300-302.  So adding
+samples to one check never shifts another, and a check run alone gives
+the same result as in its full audit.  A failing check records a
+replayable witness (serialized states, acts, margins).
 
 Status semantics: "pass" means every instantiated check held, "fail"
 means at least one did not (witness attached), "skip" means the
@@ -16,6 +23,7 @@ instance's dimensions did not admit the construction the check needs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -24,28 +32,25 @@ from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, IntransitiveOracle,
                      NonMonotoneOracle, TooManyMacrostates)
 from .forge import ActForge, compose_acts, identity_act, restrict_act
-from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
-                      acts_agree_on, project)
-from .preference import (BornOracle, Comparison, PreferenceOracle,
+from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
+                      TOL_ORTH, acts_agree_on, project)
+from .io import encode_matrix, encode_vector
+from .preference import (TIE_BAND, BornOracle, Comparison, PreferenceOracle,
                          UtilityTable, accessible_compare, elicit_utility,
                          expected_utility, is_null_pair, make_standard_act,
                          reduce_to_standard, reward_order, standard_weight)
 from .problem import (QuantumDecisionProblem, branch_decomposition,
                       born_weights, reach_state, smallest_event_ids)
 
-RICHNESS_AXIOMS = ("Indol", "Restr", "Compos", "Irrev", "PrCont", "ReAv",
-                   "BrAv", "Eras", "Compat")
-RATIONALITY_AXIOMS = ("Ord", "ActNDeg", "BrIndif", "ErIndif", "ReSup",
-                      "StaSup", "MacIndif", "DiacCons", "BrCons", "SolCont")
-LEMMAS = ("Equivalence", "RewardNondegeneracy", "Nullity", "Dominance",
-          "Utility", "StandardAct", "BornTheorem")
-COUNTEREXAMPLE_TARGETS = RATIONALITY_AXIOMS + ("branch-uniqueness",
-                                               "equivalence-step")
-
 #: operator-norm radii for the sampled continuity probes
 PERTURBATION_RADII = (1e-6, 1e-4, 1e-2)
 #: failures recorded per axiom before the rest are only counted
 WITNESS_CAP = 3
+#: nonzero lattice events audited: all of them up to this many, else a
+#: sample of this size
+EVENT_CAP = 64
+#: largest macrostate subset tried as a branch decomposition
+DECOMPOSITION_MAX = 4
 
 _CAPACITY_ERRORS = (CannotOrthogonalize, InsufficientDimension)
 # combining blocks additionally needs pairwise-orthogonal domains
@@ -170,15 +175,6 @@ def _py(value):
     return value
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """Row-major [re, im] encoding of a complex matrix."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def state_payload(psi: StateVector) -> list:
-    return [[float(z.real), float(z.imag)] for z in psi.vec]
-
-
 def act_payload(act: PartialIsometryAct) -> dict:
     return {"label": act.label, "domain_basis": encode_matrix(act.domain.basis),
             "matrix": encode_matrix(act.matrix)}
@@ -225,17 +221,37 @@ class _Tally:
                            self.witnesses, "; ".join(bits))
 
 
-def _events_to_audit(p: QuantumDecisionProblem, rng: np.random.Generator,
-                     cap: int = 64) -> list[tuple[tuple[str, ...], Subspace]]:
+@dataclass
+class _Run:
+    """What the checks of one audit run share."""
+    p: QuantumDecisionProblem
+    samples: int
+    seed: int
+    oracle: PreferenceOracle | None = None
+    utility: UtilityTable | None = None
+
+    @property
+    def n_light(self) -> int:
+        """Sample budget of the costlier checks."""
+        return max(4, self.samples // 10)
+
+    @cached_property
+    def catalog(self) -> list[PartialIsometryAct]:
+        """The richness catalog, drawn from stream 90 at first use."""
+        return richness_catalog(self.p, _rng(self.seed, 90))
+
+
+def _events_to_audit(p: QuantumDecisionProblem, rng: np.random.Generator
+                     ) -> list[tuple[tuple[str, ...], Subspace]]:
     """Nonzero lattice events: exhaustive when 2^n is small, sampled otherwise."""
     n = len(p.macrostates)
     ids = list(p.macrostate_ids)
-    if 2 ** n - 1 <= cap:
+    if 2 ** n - 1 <= EVENT_CAP:
         subsets = [list(c) for size in range(1, n + 1)
                    for c in combinations(ids, size)]
     else:
         subsets = [ids]
-        for _ in range(cap - 1):
+        for _ in range(EVENT_CAP - 1):
             size = int(rng.integers(1, n + 1))
             subsets.append(sorted(rng.choice(ids, size=size, replace=False)))
     return [(tuple(s), p.event_of(s)) for s in subsets]
@@ -298,8 +314,7 @@ def richness_catalog(p: QuantumDecisionProblem,
 
 
 def macrostate_probe_acts(p: QuantumDecisionProblem, mac,
-                          rng: np.random.Generator | None = None,
-                          alphas=(0.0, 0.3, 1.0)
+                          rng: np.random.Generator | None = None
                           ) -> tuple[StateVector, list[PartialIsometryAct]]:
     """A probe state in the macrostate plus a small act menu there."""
     psi = StateVector(mac.subspace.basis[:, 0])
@@ -310,7 +325,7 @@ def macrostate_probe_acts(p: QuantumDecisionProblem, mac,
                         .with_label(f"deliver:{rid}"))
         except _CAPACITY_ERRORS:
             pass
-    menu = list(alphas)
+    menu = [0.0, 0.3, 1.0]
     if rng is not None:
         menu.append(float(rng.uniform(0.1, 0.9)))
     for a in menu:
@@ -370,7 +385,7 @@ def _probe_target(p: QuantumDecisionProblem, mstar: str, rid: str,
         if sub.dim < need:
             continue
         if all(np.abs(p.macrostate(o).subspace.basis.conj().T
-                      @ sub.basis).max() <= 1e-9 for o in kept):
+                      @ sub.basis).max() <= TOL_ORTH for o in kept):
             return cand
     return None
 
@@ -392,7 +407,7 @@ def discriminable_support(p: QuantumDecisionProblem, support_ids,
         kept = [m for m in support if m != mstar]
         found = False
         for rid in p.reward_ids:
-            if abs(utility.of(rid) - own) <= 1e-9:
+            if abs(utility.of(rid) - own) <= TIE_BAND:
                 continue
             if _probe_target(p, mstar, rid, support, kept) is not None:
                 found = True
@@ -402,31 +417,25 @@ def discriminable_support(p: QuantumDecisionProblem, support_ids,
     return True
 
 
-# -- richness audit ------------------------------------------------------------
+# -- richness checks -------------------------------------------------------------
+#
+# Every check takes the run it belongs to, the tally it reports into and
+# its own substream.
 
-def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
-                   seed: int = 0) -> AuditReport:
-    """Instantiate every availability axiom on forged and supplied acts."""
-    results = []
-    catalog = richness_catalog(p, _rng(seed, 90))
-    n_light = max(4, samples // 10)
-
-    # Indol: the identity is available on every event and fixes it.
-    t = _Tally("Indol")
-    rng = _rng(seed, 0)
-    for ids, event in _events_to_audit(p, rng):
+def _indol(run, t, rng):
+    """The identity is available on every event and fixes it."""
+    for ids, event in _events_to_audit(run.p, rng):
         act = identity_act(event)
         psi = random_state_in(event, rng)
         ok = (act.range_subspace().equals(event)
               and act.apply(psi).allclose(psi))
         t.check(ok, {"event": list(ids)})
-    results.append(t.result())
 
-    # Restr: restrictions to subevents stay available and agree.
-    t = _Tally("Restr")
-    rng = _rng(seed, 1)
-    for act in catalog:
-        inside = [m for m in p.macrostates
+
+def _restr(run, t, rng):
+    """Restrictions to subevents stay available and agree."""
+    for act in run.catalog:
+        inside = [m for m in run.p.macrostates
                   if act.domain.contains_subspace(m.subspace)]
         if len(inside) < 2:
             continue
@@ -441,12 +450,12 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
                     {"act": act_payload(act), "subevent": m.id})
     if t.samples == 0:
         t.skip("no catalog act spans more than one macrostate")
-    results.append(t.result())
 
-    # Compos: following one act with another available on its image event.
-    t = _Tally("Compos")
-    rng = _rng(seed, 2)
-    for act in catalog[:2 * n_light]:
+
+def _compos(run, t, rng):
+    """Following one act with another available on its image event."""
+    p = run.p
+    for act in run.catalog[:2 * run.n_light]:
         event_ids = sorted(smallest_event_ids(p, act))
         followers = [identity_act(p.event_of(event_ids))
                      .with_label("follow:id")]
@@ -469,11 +478,12 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
             want = v.apply(act.apply(psi))
             t.check(comp.apply(psi).allclose(want),
                     {"act": act_payload(act), "follower": v.label})
-    results.append(t.result())
 
-    # Irrev: restrictions to orthogonal subevents have orthogonal images.
-    t = _Tally("Irrev")
-    for act in catalog:
+
+def _irrev(run, t, rng):
+    """Restrictions to orthogonal subevents have orthogonal images."""
+    p = run.p
+    for act in run.catalog:
         inside = [m for m in p.macrostates
                   if act.domain.contains_subspace(m.subspace)]
         if len(inside) < 2:
@@ -487,15 +497,14 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
                      "shared_macrostates": shared})
     if t.samples == 0:
         t.skip("no catalog act spans more than one macrostate")
-    results.append(t.result())
 
-    # PrCont: sampled perturbations of available acts stay available and
-    # nearby (a numerical proxy for openness, not an open-set proof).
-    t = _Tally("PrCont")
+
+def _prcont(run, t, rng):
+    """Sampled perturbations of available acts stay available and nearby
+    (a numerical proxy for openness, not an open-set proof)."""
     t.note("sampled openness proxy at radii "
            + ",".join(f"{r:g}" for r in PERTURBATION_RADII))
-    rng = _rng(seed, 4)
-    for act in catalog[:n_light]:
+    for act in run.catalog[:run.n_light]:
         for radius in PERTURBATION_RADII:
             try:
                 near = perturb_act(act, radius, rng)
@@ -507,10 +516,11 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
             t.check(dist <= 10.0 * radius + 1e-12,
                     {"act": act_payload(act), "radius": radius,
                      "distance": dist})
-    results.append(t.result())
 
-    # ReAv: every reward is deliverable from every macrostate.
-    t = _Tally("ReAv")
+
+def _reav(run, t, rng):
+    """Every reward is deliverable from every macrostate."""
+    p = run.p
     for m in p.macrostates:
         for rid in p.reward_ids:
             try:
@@ -522,11 +532,11 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
             t.check(ids <= set(p.reward(rid).members),
                     {"macrostate": m.id, "reward": rid,
                      "image_macrostates": sorted(ids)})
-    results.append(t.result())
 
-    # BrAv: in-reward branchings with prescribed squared amplitudes.
-    t = _Tally("BrAv")
-    rng = _rng(seed, 6)
+
+def _brav(run, t, rng):
+    """In-reward branchings with prescribed squared amplitudes."""
+    p = run.p
     nontrivial = False
     for m in p.macrostates:
         own = p.reward(p.reward_of_macrostate(m.id))
@@ -551,16 +561,16 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
                    for mid in targets]
             in_reward = smallest_event_ids(p, act) <= set(own.members)
             t.check(in_reward and max(abs(g - w)
-                                      for g, w in zip(got, ws)) <= 1e-9,
+                                      for g, w in zip(got, ws)) <= TOL_NORM,
                     {"macrostate": m.id, "weights": list(ws),
                      "achieved": got, "in_reward": in_reward})
     if t.samples and not nontrivial:
         t.note("only single-branch branchings fit this instance")
-    results.append(t.result())
 
-    # Eras: same-norm states of one reward are erasable to a common state.
-    t = _Tally("Eras")
-    rng = _rng(seed, 7)
+
+def _eras(run, t, rng):
+    """Same-norm states of one reward are erasable to a common state."""
+    p = run.p
     for r in p.rewards:
         ms = sorted(r.members)
         pairs = [(ms[0], ms[0])]
@@ -576,20 +586,20 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
                 continue
             img1, img2 = e1.apply(psi1), e2.apply(psi2)
             sink = p.macrostate(r.erasure).subspace
-            ok = (img1.allclose(img2, tol=1e-9)
+            ok = (img1.allclose(img2)
                   and sink.contains(img1)
                   and smallest_event_ids(p, e1) <= set(ms)
                   and smallest_event_ids(p, e2) <= set(ms))
             t.check(ok, {"reward": r.id, "pair": [m1, m2],
                          "gap": (img1 - img2).norm})
-    results.append(t.result())
 
-    # Compat: per-macrostate blocks combine into one act with orthogonal
-    # images that restricts back to each block.
-    t = _Tally("Compat")
-    rng = _rng(seed, 8)
+
+def _compat(run, t, rng):
+    """Per-macrostate blocks combine into one act with orthogonal images
+    that restricts back to each block."""
+    p = run.p
     mids = list(p.macrostate_ids)
-    for trial in range(n_light):
+    for trial in range(run.n_light):
         if len(mids) < 2:
             t.skip("needs at least two macrostates")
             break
@@ -616,7 +626,7 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
         except _COMBINE_ERRORS as exc:
             t.skip(f"{','.join(chosen)}: {exc}")
             continue
-        agree = all(acts_agree_on(combined.act, blk, blk.domain, tol=1e-9)
+        agree = all(acts_agree_on(combined.act, blk, blk.domain)
                     for blk in combined.blocks)
         images = [smallest_event_ids(p, blk) for blk in combined.blocks]
         disjoint = all(not (a & b) for a, b in combinations(images, 2))
@@ -624,32 +634,19 @@ def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
                 {"macrostates": chosen, "agree": agree,
                  "images_disjoint": disjoint,
                  "retargeted": list(combined.retargeted)})
-    results.append(t.result())
-
-    return AuditReport("richness", seed, samples, results,
-                       problem=_problem_fingerprint(p))
 
 
-# -- rationality audit -----------------------------------------------------------
+# -- rationality checks ------------------------------------------------------------
 
-def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
-                      samples: int = 200, seed: int = 0) -> AuditReport:
-    """Instantiate every preference axiom against the given oracle."""
-    results = []
-    n_light = max(4, samples // 10)
-
-    def cmp(psi, u, v):
-        return oracle.compare(psi, u, v)
-
-    # Ord: completeness/antisymmetry of the pair answers and transitivity
-    # over sampled act triples.
-    t = _Tally("Ord")
-    rng = _rng(seed, 100)
-    per_mac = max(1, samples // max(1, len(p.macrostates)))
+def _ord(run, t, rng):
+    """Completeness/antisymmetry of the pair answers and transitivity
+    over sampled act triples."""
+    p, compare = run.p, run.oracle.compare
+    per_mac = max(1, run.samples // max(1, len(p.macrostates)))
     for mac in p.macrostates:
         psi, acts = macrostate_probe_acts(p, mac, rng)
         for u, v in combinations(acts, 2):
-            c, back = cmp(psi, u, v), cmp(psi, v, u)
+            c, back = compare(psi, u, v), compare(psi, v, u)
             t.check(c is back.flipped(),
                     {"kind": "asymmetry", "macrostate": mac.id,
                      "u": u.label, "v": v.label,
@@ -662,29 +659,29 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             triples = [triples[i] for i in sorted(idx)]
         for i, j, k in triples:
             for a, b, c_ in permutations((i, j, k)):
-                cab = int(cmp(psi, acts[a], acts[b]))
-                cbc = int(cmp(psi, acts[b], acts[c_]))
-                cac = int(cmp(psi, acts[a], acts[c_]))
+                cab = int(compare(psi, acts[a], acts[b]))
+                cbc = int(compare(psi, acts[b], acts[c_]))
+                cac = int(compare(psi, acts[a], acts[c_]))
                 if cab >= 0 and cbc >= 0 and cac < 0:
                     t.check(False,
                             {"kind": "transitivity", "macrostate": mac.id,
                              "cycle": [acts[a].label, acts[b].label,
                                        acts[c_].label],
                              "comparisons": [cab, cbc, cac],
-                             "state": state_payload(psi)})
+                             "state": encode_vector(psi.vec)})
                 else:
                     t.check(True)
-    results.append(t.result())
 
-    # ActNDeg: at least one strict preference somewhere.
-    t = _Tally("ActNDeg")
-    rng = _rng(seed, 101)
+
+def _actndeg(run, t, rng):
+    """At least one strict preference somewhere."""
+    p = run.p
     found = False
     for mac in p.macrostates:
         psi, acts = macrostate_probe_acts(p, mac, rng)
         for u, v in combinations(acts, 2):
             t.samples += 1
-            if cmp(psi, u, v) is not Comparison.TIE:
+            if run.oracle.compare(psi, u, v) is not Comparison.TIE:
                 found = True
                 t.note(f"strict pair at {mac.id}: "
                        f"{u.label} vs {v.label}")
@@ -694,11 +691,11 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
     if not found:
         t.check(False, {"kind": "degenerate",
                         "detail": "every sampled comparison tied"})
-    results.append(t.result())
 
-    # BrIndif: branching acts are indifferent to doing nothing.
-    t = _Tally("BrIndif")
-    rng = _rng(seed, 102)
+
+def _brindif(run, t, rng):
+    """Branching acts are indifferent to doing nothing."""
+    p = run.p
     nontrivial = False
     for mac in p.macrostates:
         own = p.reward(p.reward_of_macrostate(mac.id))
@@ -715,18 +712,18 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
                 continue
             if len(ws) > 1:
                 nontrivial = True
-            got = cmp(psi, act, identity_act(mac.subspace))
+            got = run.oracle.compare(psi, act, identity_act(mac.subspace))
             t.check(got is Comparison.TIE,
                     {"macrostate": mac.id, "weights": list(ws),
-                     "state": state_payload(psi),
+                     "state": encode_vector(psi.vec),
                      "branching_act": act_payload(act), "got": int(got)})
     if t.samples and not nontrivial:
         t.note("only single-branch branchings fit this instance")
-    results.append(t.result())
 
-    # ErIndif: erasure acts are indifferent to doing nothing.
-    t = _Tally("ErIndif")
-    rng = _rng(seed, 103)
+
+def _erindif(run, t, rng):
+    """Erasure acts are indifferent to doing nothing."""
+    p = run.p
     for r in p.rewards:
         ms = sorted(r.members)
         m1, m2 = ms[0], ms[1] if len(ms) > 1 else ms[0]
@@ -738,16 +735,17 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             t.skip(f"{r.id}: {exc}")
             continue
         for psi, act, mid in ((psi1, e1, m1), (psi2, e2, m2)):
-            got = cmp(psi, act, identity_act(p.macrostate(mid).subspace))
+            got = run.oracle.compare(
+                psi, act, identity_act(p.macrostate(mid).subspace))
             t.check(got is Comparison.TIE,
                     {"reward": r.id, "macrostate": mid,
-                     "state": state_payload(psi), "got": int(got)})
-    results.append(t.result())
+                     "state": encode_vector(psi.vec), "got": int(got)})
 
-    # ReSup: any act keeping the state inside its own reward is
-    # indifferent to doing nothing.
-    t = _Tally("ReSup")
-    rng = _rng(seed, 104)
+
+def _resup(run, t, rng):
+    """Any act keeping the state inside its own reward is indifferent to
+    doing nothing."""
+    p = run.p
     for mac in p.macrostates:
         own = p.reward(p.reward_of_macrostate(mac.id))
         psi = random_state_in(mac.subspace, rng)
@@ -764,16 +762,16 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _CAPACITY_ERRORS as exc:
             t.skip(f"{mac.id} branch: {exc}")
         for act in keepers:
-            got = cmp(psi, act, identity_act(mac.subspace))
+            got = run.oracle.compare(psi, act, identity_act(mac.subspace))
             t.check(got is Comparison.TIE,
                     {"macrostate": mac.id, "act": act_payload(act),
-                     "state": state_payload(psi), "got": int(got)})
-    results.append(t.result())
+                     "state": encode_vector(psi.vec), "got": int(got)})
 
-    # StaSup: equal final states force equal preferences, across
-    # different initial states and macrostates.
-    t = _Tally("StaSup")
-    rng = _rng(seed, 105)
+
+def _stasup(run, t, rng):
+    """Equal final states force equal preferences, across different
+    initial states and macrostates."""
+    p = run.p
     for r in p.rewards:
         ms = sorted(r.members)
         mac_pairs = [(ms[0], ms[0])]
@@ -808,19 +806,20 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
                 # follow-up's domain; that is a probe failure, not StaSup
                 t.skip(f"{r.id}: {exc}")
                 continue
-            c1, c2 = cmp(psi1, u1, e1), cmp(psi2, u2, e2)
+            c1 = run.oracle.compare(psi1, u1, e1)
+            c2 = run.oracle.compare(psi2, u2, e2)
             t.check(c1 is c2,
                     {"reward": r.id, "macrostates": [m1, m2],
-                     "state1": state_payload(psi1),
-                     "state2": state_payload(psi2),
+                     "state1": encode_vector(psi1.vec),
+                     "state2": encode_vector(psi2.vec),
                      "got": [int(c1), int(c2)]})
-    results.append(t.result())
 
-    # MacIndif: preferences between acts landing in fixed
-    # macrostate-within-reward cells ignore the initial state/macrostate.
-    t = _Tally("MacIndif")
-    rng = _rng(seed, 106)
-    for trial in range(n_light):
+
+def _macindif(run, t, rng):
+    """Preferences between acts landing in fixed macrostate-within-reward
+    cells ignore the initial state/macrostate."""
+    p = run.p
+    for trial in range(run.n_light):
         m1 = p.macrostates[int(rng.integers(len(p.macrostates)))]
         m2 = p.macrostates[int(rng.integers(len(p.macrostates)))]
         rids = list(p.reward_ids)
@@ -852,16 +851,17 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _CAPACITY_ERRORS as exc:
             t.skip(f"{m1.id},{m2.id}->{na},{nb}: {exc}")
             continue
-        c1, c2 = cmp(psi1, u1, v1), cmp(psi2, u2, v2)
+        c1 = run.oracle.compare(psi1, u1, v1)
+        c2 = run.oracle.compare(psi2, u2, v2)
         t.check(c1 is c2,
                 {"from": [m1.id, m2.id], "cells": [na, nb],
                  "rewards": [ra, rb], "got": [int(c1), int(c2)]})
-    results.append(t.result())
 
-    # DiacCons: preferences after an act match preferences over the
-    # composites, checked at unbranched images.
-    t = _Tally("DiacCons")
-    rng = _rng(seed, 107)
+
+def _diaccons(run, t, rng):
+    """Preferences after an act match preferences over the composites,
+    checked at unbranched images."""
+    p = run.p
     for mac in p.macrostates:
         psi = random_state_in(mac.subspace, rng)
         rid = p.reward_ids[int(rng.integers(len(p.reward_ids)))]
@@ -893,18 +893,18 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _COMBINE_ERRORS as exc:
             t.skip(f"{mac.id}: {exc}")
             continue
-        c_after = cmp(phi, v, v2)
-        c_comp = cmp(psi, comp1, comp2)
+        c_after = run.oracle.compare(phi, v, v2)
+        c_comp = run.oracle.compare(psi, comp1, comp2)
         t.check(c_after is c_comp,
                 {"macrostate": mac.id, "via": rid,
                  "got_after": int(c_after), "got_composite": int(c_comp)})
-    results.append(t.result())
 
-    # BrCons: branchwise agreement forces agreement at the branched
-    # state, strictly when a non-null branch is strict.
-    t = _Tally("BrCons")
-    rng = _rng(seed, 108)
-    for trial in range(n_light):
+
+def _brcons(run, t, rng):
+    """Branchwise agreement forces agreement at the branched state,
+    strictly when a non-null branch is strict."""
+    p = run.p
+    for trial in range(run.n_light):
         mac = p.macrostates[int(rng.integers(len(p.macrostates)))]
         psi0 = random_state_in(mac.subspace, rng)
         rids = list(p.reward_ids)
@@ -947,10 +947,10 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             t.skip(f"{mac.id}: {exc}")
             continue
         v, v2 = comb_v.act, comb_v2.act
-        per_branch = [int(cmp(comp.unit(), bu, bv))
+        per_branch = [int(run.oracle.compare(comp.unit(), bu, bv))
                       for (mid, comp), bu, bv in zip(branches, comb_v.blocks,
                                                      comb_v2.blocks)]
-        got = accessible_compare(p, acc, v, v2, oracle)
+        got = accessible_compare(p, acc, v, v2, run.oracle)
         if all(c >= 0 for c in per_branch):
             want_strict = any(c > 0 for c in per_branch)
             ok = (got is Comparison.BETTER if want_strict
@@ -960,59 +960,44 @@ def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             ok = True
         t.check(ok, {"origin": mac.id, "branches": [b[0] for b in branches],
                      "per_branch": per_branch, "got": int(got),
-                     "state": state_payload(acc.state)})
-    results.append(t.result())
+                     "state": encode_vector(acc.state.vec)})
 
-    # SolCont: strict preferences survive small perturbations of both acts.
-    t = _Tally("SolCont")
+
+def _solcont(run, t, rng):
+    """Strict preferences survive small perturbations of both acts."""
+    p, compare = run.p, run.oracle.compare
     t.note("pass/fail judged at radius 1e-06; larger radii informational")
-    rng = _rng(seed, 109)
     flips_large = 0
     for mac in p.macrostates:
         psi, acts = macrostate_probe_acts(p, mac)
         strict = [(u, v) for u, v in combinations(acts, 2)
-                  if cmp(psi, u, v) is Comparison.BETTER]
+                  if compare(psi, u, v) is Comparison.BETTER]
         strict += [(v, u) for u, v in combinations(acts, 2)
-                   if cmp(psi, u, v) is Comparison.WORSE]
-        for u, v in strict[:n_light]:
+                   if compare(psi, u, v) is Comparison.WORSE]
+        for u, v in strict[:run.n_light]:
             for radius in PERTURBATION_RADII:
                 u2 = perturb_act(u, radius, rng)
                 v2 = perturb_act(v, radius, rng)
-                got = cmp(psi, u2, v2)
+                got = compare(psi, u2, v2)
                 if radius == PERTURBATION_RADII[0]:
                     t.check(got is Comparison.BETTER,
                             {"macrostate": mac.id, "radius": radius,
                              "u": u.label, "v": v.label, "got": int(got),
-                             "state": state_payload(psi),
+                             "state": encode_vector(psi.vec),
                              "u_act": act_payload(u),
                              "v_act": act_payload(v)})
                 elif got is not Comparison.BETTER:
                     flips_large += 1
     if flips_large:
         t.note(f"{flips_large} flip(s) at larger radii")
-    results.append(t.result())
-
-    return AuditReport("rationality", seed, samples, results,
-                       oracle=getattr(oracle, "name", ""),
-                       problem=_problem_fingerprint(p))
 
 
-# -- lemma chain ---------------------------------------------------------------
+# -- lemma checks ---------------------------------------------------------------
 
-def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
-                 utility: UtilityTable, samples: int = 100,
-                 seed: int = 0) -> AuditReport:
-    """Check each derived statement of the preference theory as a property."""
-    results = []
-    n_light = max(4, samples // 10)
-
-    def cmp(psi, u, v):
-        return oracle.compare(psi, u, v)
-
-    # Equivalence: matched per-reward image norms force matched outcomes.
-    t = _Tally("Equivalence")
-    rng = _rng(seed, 200)
-    for trial in range(samples):
+def _equivalence(run, t, rng):
+    """Matched per-reward image norms force matched outcomes."""
+    p = run.p
+    for trial in range(run.samples):
         m1 = p.macrostates[int(rng.integers(len(p.macrostates)))]
         m2 = p.macrostates[int(rng.integers(len(p.macrostates)))]
         psi1 = random_state_in(m1.subspace, rng)
@@ -1028,31 +1013,33 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _CAPACITY_ERRORS as exc:
             t.skip(f"{m1.id},{m2.id}: {exc}")
             continue
-        c1, c2 = cmp(psi1, u1, v1), cmp(psi2, u2, v2)
+        c1 = run.oracle.compare(psi1, u1, v1)
+        c2 = run.oracle.compare(psi2, u2, v2)
         t.check(c1 is c2,
                 {"macrostates": [m1.id, m2.id], "weights_u": wu,
                  "weights_v": wv, "got": [int(c1), int(c2)]})
-    results.append(t.result())
 
-    # Reward nondegeneracy: the induced reward order has >= 2 tiers.
-    t = _Tally("RewardNondegeneracy")
+
+def _reward_nondegeneracy(run, t, rng):
+    """The induced reward order has >= 2 tiers."""
     try:
-        tiers = reward_order(p, oracle)
+        tiers = reward_order(run.p, run.oracle)
         t.check(len(tiers) >= 2, {"tiers": tiers})
     except IntransitiveOracle as exc:
         t.check(False, {"error": repr(exc)})
-    results.append(t.result())
 
-    # Nullity: the geometric criterion matches the definitional test on
-    # every lattice event, at states with clean macrostate support.
-    t = _Tally("Nullity")
-    rng = _rng(seed, 202)
+
+def _nullity(run, t, rng):
+    """The geometric criterion matches the definitional test on every
+    lattice event, at states with clean macrostate support."""
+    p = run.p
     try:
         events = [((), p.event_of([]))] + _events_to_audit(p, rng)
     except TooManyMacrostates as exc:
         t.skip(str(exc))
         events = []
-    supports = _null_supports(p, rng, utility, count=max(2, n_light // 2))
+    supports = _null_supports(p, rng, run.utility,
+                              count=max(2, run.n_light // 2))
     if not supports:
         t.skip("no support subset leaves probe room that moves utility")
     for support in supports:
@@ -1061,19 +1048,19 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         for ids, event in events:
             a = is_null_pair(p, event, phi, method="criterion")
             b = is_null_pair(p, event, phi, method="definitional",
-                             catalog=catalog, oracle=oracle)
+                             catalog=catalog, oracle=run.oracle)
             t.check(a == b,
                     {"event": list(ids), "support": list(support),
                      "criterion": a, "definitional": b,
-                     "state": state_payload(phi)})
-    results.append(t.result())
+                     "state": encode_vector(phi.vec)})
 
-    # Dominance: standard acts order strictly by weight, ties at equal weight.
-    t = _Tally("Dominance")
-    rng = _rng(seed, 203)
+
+def _dominance(run, t, rng):
+    """Standard acts order strictly by weight, ties at equal weight."""
+    p = run.p
     mac = min(p.macrostates, key=lambda m: (m.subspace.dim, m.id))
     psi = StateVector(mac.subspace.basis[:, 0])
-    for trial in range(samples):
+    for trial in range(run.samples):
         a, b = sorted(rng.uniform(0.0, 1.0, size=2))
         if trial % 4 == 0:
             a = b  # exercise the tie branch
@@ -1085,19 +1072,20 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _CAPACITY_ERRORS as exc:
             t.skip(str(exc))
             break
-        got = cmp(psi, ua, ub)
+        got = run.oracle.compare(psi, ua, ub)
         want = Comparison.TIE if a == b else Comparison.BETTER
         t.check(got is want,
                 {"alpha": float(b), "beta": float(a), "got": int(got)})
-    results.append(t.result())
 
-    # Utility: elicitation is probe-independent (uniqueness) and matches
-    # the reward order (monotonicity).
-    t = _Tally("Utility")
+
+def _utility(run, t, rng):
+    """Elicitation is probe-independent (uniqueness) and matches the
+    reward order (monotonicity)."""
+    p = run.p
     tol = 1e-6
     probes = sorted({m.id for m in p.macrostates})[:2]
     try:
-        tables = [elicit_utility(p, oracle, tol=tol, probe=pr).table
+        tables = [elicit_utility(p, run.oracle, tol=tol, probe=pr).table
                   for pr in probes]
         if len(tables) == 2:
             for rid in p.reward_ids:
@@ -1105,7 +1093,7 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
                 t.check(gap <= 2 * tol,
                         {"reward": rid, "values": [tables[0].of(rid),
                                                    tables[1].of(rid)]})
-        rank = {rid: i for i, tier in enumerate(reward_order(p, oracle))
+        rank = {rid: i for i, tier in enumerate(reward_order(p, run.oracle))
                 for rid in tier}
         for ra, rb in combinations(p.reward_ids, 2):
             ua, ub = tables[0].of(ra), tables[0].of(rb)
@@ -1116,13 +1104,13 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
                      "tiers": [rank[ra], rank[rb]]})
     except (NonMonotoneOracle, IntransitiveOracle) as exc:
         t.check(False, {"error": repr(exc)})
-    results.append(t.result())
 
-    # Standard act: every act reduces to an equivalent standard act whose
-    # weight is its expected utility.
-    t = _Tally("StandardAct")
-    rng = _rng(seed, 205)
-    for trial in range(n_light):
+
+def _standard_act(run, t, rng):
+    """Every act reduces to an equivalent standard act whose weight is its
+    expected utility."""
+    p = run.p
+    for trial in range(run.n_light):
         mac = p.macrostates[int(rng.integers(len(p.macrostates)))]
         psi = random_state_in(mac.subspace, rng)
         rids = list(p.reward_ids)
@@ -1134,23 +1122,23 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         w = dict(zip(rids, random_weights(rng, len(rids))))
         try:
             act = ActForge(p).weighted_act(psi, w)
-            std = reduce_to_standard(p, psi, act, utility)
+            std = reduce_to_standard(p, psi, act, run.utility)
         except _COMBINE_ERRORS as exc:
             # overlapping macrostates break the blockwise reduction
             t.skip(f"{mac.id}: {exc}")
             continue
-        eu = expected_utility(p, psi, act, utility)
+        eu = expected_utility(p, psi, act, run.utility)
         wt = standard_weight(p, psi, std)
-        got = cmp(psi, act, std)
-        t.check(abs(wt - eu) <= 1e-9 and got is Comparison.TIE,
+        got = run.oracle.compare(psi, act, std)
+        t.check(abs(wt - eu) <= TIE_BAND and got is Comparison.TIE,
                 {"macrostate": mac.id, "weights": w, "eu": eu,
                  "standard_weight": wt, "got": int(got)})
-    results.append(t.result())
 
-    # Born rule: the oracle's verdicts equal the sign of the EU gap.
-    t = _Tally("BornTheorem")
-    rng = _rng(seed, 206)
-    for trial in range(samples):
+
+def _born_theorem(run, t, rng):
+    """The oracle's verdicts equal the sign of the EU gap."""
+    p = run.p
+    for trial in range(run.samples):
         mac = p.macrostates[int(rng.integers(len(p.macrostates)))]
         psi = random_state_in(mac.subspace, rng)
         rids = list(p.reward_ids)
@@ -1162,19 +1150,14 @@ def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
         except _CAPACITY_ERRORS as exc:
             t.skip(f"{mac.id}: {exc}")
             continue
-        gap = (expected_utility(p, psi, u, utility)
-               - expected_utility(p, psi, v, utility))
-        want = (Comparison.TIE if abs(gap) <= 1e-9
+        gap = (expected_utility(p, psi, u, run.utility)
+               - expected_utility(p, psi, v, run.utility))
+        want = (Comparison.TIE if abs(gap) <= TIE_BAND
                 else Comparison.BETTER if gap > 0 else Comparison.WORSE)
-        got = cmp(psi, u, v)
+        got = run.oracle.compare(psi, u, v)
         t.check(got is want,
                 {"macrostate": mac.id, "eu_gap": gap,
                  "want": int(want), "got": int(got)})
-    results.append(t.result())
-
-    return AuditReport("lemmas", seed, samples, results,
-                       oracle=getattr(oracle, "name", ""),
-                       problem=_problem_fingerprint(p))
 
 
 def _orthogonal_support(p: QuantumDecisionProblem, support) -> bool:
@@ -1182,7 +1165,7 @@ def _orthogonal_support(p: QuantumDecisionProblem, support) -> bool:
     for a, b in combinations(support, 2):
         ba = p.macrostate(a).subspace.basis
         bb = p.macrostate(b).subspace.basis
-        if np.abs(ba.conj().T @ bb).max() > 1e-9:
+        if np.abs(ba.conj().T @ bb).max() > TOL_ORTH:
             return False
     return True
 
@@ -1223,6 +1206,74 @@ def _state_with_support(p: QuantumDecisionProblem, support,
     return StateVector(vec)
 
 
+# -- the registry ------------------------------------------------------------------
+
+#: audit kind -> (stream base, checks in report order); the check at
+#: position i draws from substream base + i
+_TABLES = {
+    "richness": (0, {
+        "Indol": _indol, "Restr": _restr, "Compos": _compos,
+        "Irrev": _irrev, "PrCont": _prcont, "ReAv": _reav, "BrAv": _brav,
+        "Eras": _eras, "Compat": _compat}),
+    "rationality": (100, {
+        "Ord": _ord, "ActNDeg": _actndeg, "BrIndif": _brindif,
+        "ErIndif": _erindif, "ReSup": _resup, "StaSup": _stasup,
+        "MacIndif": _macindif, "DiacCons": _diaccons, "BrCons": _brcons,
+        "SolCont": _solcont}),
+    "lemmas": (200, {
+        "Equivalence": _equivalence,
+        "RewardNondegeneracy": _reward_nondegeneracy, "Nullity": _nullity,
+        "Dominance": _dominance, "Utility": _utility,
+        "StandardAct": _standard_act, "BornTheorem": _born_theorem}),
+}
+RICHNESS_AXIOMS = tuple(_TABLES["richness"][1])
+RATIONALITY_AXIOMS = tuple(_TABLES["rationality"][1])
+LEMMAS = tuple(_TABLES["lemmas"][1])
+COUNTEREXAMPLE_TARGETS = RATIONALITY_AXIOMS + ("branch-uniqueness",
+                                               "equivalence-step")
+
+
+def _audit(run: _Run, table: str, only=None, kind: str = "") -> AuditReport:
+    """Run a table's checks, or just those named in `only`."""
+    base, checks = _TABLES[table]
+    results = []
+    for i, (name, check) in enumerate(checks.items()):
+        if only is None or name in only:
+            t = _Tally(name)
+            check(run, t, _rng(run.seed, base + i))
+            results.append(t.result())
+    return AuditReport(kind or table, run.seed, run.samples, results,
+                       oracle=getattr(run.oracle, "name", ""),
+                       problem=_problem_fingerprint(run.p))
+
+
+def audit_richness(p: QuantumDecisionProblem, samples: int = 200,
+                   seed: int = 0) -> AuditReport:
+    """Instantiate every availability axiom on forged and supplied acts."""
+    return _audit(_Run(p, samples, seed), "richness")
+
+
+def audit_rationality(p: QuantumDecisionProblem, oracle: PreferenceOracle,
+                      samples: int = 200, seed: int = 0) -> AuditReport:
+    """Instantiate every preference axiom against the given oracle."""
+    return _audit(_Run(p, samples, seed, oracle), "rationality")
+
+
+def check_lemmas(p: QuantumDecisionProblem, oracle: PreferenceOracle,
+                 utility: UtilityTable, samples: int = 100,
+                 seed: int = 0) -> AuditReport:
+    """Check each derived statement of the preference theory as a property."""
+    return _audit(_Run(p, samples, seed, oracle, utility), "lemmas")
+
+
+def born_theorem_report(p: QuantumDecisionProblem, utility: UtilityTable,
+                        samples: int = 200, seed: int = 0) -> AuditReport:
+    """Standalone check that the reference order equals the EU order."""
+    run = _Run(p, samples, seed, BornOracle(p, utility), utility)
+    return _audit(run, "lemmas", kind="born-theorem",
+                  only=("Dominance", "StandardAct", "BornTheorem"))
+
+
 # -- counterexample search ---------------------------------------------------------
 
 def find_counterexample(p: QuantumDecisionProblem,
@@ -1231,8 +1282,9 @@ def find_counterexample(p: QuantumDecisionProblem,
                         seed: int = 0) -> dict | None:
     """Random search for a witness violating `target`; None if none found.
 
-    Rationality-axiom targets rerun the corresponding audit at the given
-    budget.  "branch-uniqueness" looks for a state with two macrostate
+    A rationality-axiom target runs that axiom's check alone at the
+    given budget, on the substream its full audit gives it.
+    "branch-uniqueness" looks for a state with two macrostate
     decompositions whose branch norms differ (possible only when the
     orthogonality idealization is off); "equivalence-step" looks for an
     act whose blockwise reward weights disagree with the whole-act
@@ -1242,8 +1294,8 @@ def find_counterexample(p: QuantumDecisionProblem,
     if target in RATIONALITY_AXIOMS:
         if oracle is None:
             raise ValueError(f"target {target!r} needs an oracle")
-        report = audit_rationality(p, oracle, samples=budget, seed=seed)
-        res = report.result(target)
+        res = _audit(_Run(p, budget, seed, oracle), "rationality",
+                     only=(target,)).results[0]
         if res.status == "fail" and res.witnesses:
             return {"target": target, "witness": res.witnesses[0]}
         return None
@@ -1255,8 +1307,8 @@ def find_counterexample(p: QuantumDecisionProblem,
                      f"choose from {', '.join(COUNTEREXAMPLE_TARGETS)}")
 
 
-def _decompositions(p: QuantumDecisionProblem, psi: StateVector,
-                    max_size: int = 4) -> list[dict[str, float]]:
+def _decompositions(p: QuantumDecisionProblem,
+                    psi: StateVector) -> list[dict[str, float]]:
     """All exact expressions of psi as a sum of macrostate components.
 
     Solves the least-squares system over each macrostate subset and keeps
@@ -1266,12 +1318,12 @@ def _decompositions(p: QuantumDecisionProblem, psi: StateVector,
     """
     ids = list(p.macrostate_ids)
     found: list[dict[str, float]] = []
-    for size in range(1, min(len(ids), max_size) + 1):
+    for size in range(1, min(len(ids), DECOMPOSITION_MAX) + 1):
         for subset in combinations(ids, size):
             bases = [p.macrostate(m).subspace.basis for m in subset]
             stacked = np.hstack(bases)
             coeff, *_ = np.linalg.lstsq(stacked, psi.vec, rcond=None)
-            if np.linalg.norm(stacked @ coeff - psi.vec) > 1e-9:
+            if np.linalg.norm(stacked @ coeff - psi.vec) > TOL_ORTH:
                 continue
             norms: dict[str, float] = {}
             col = 0
@@ -1280,7 +1332,7 @@ def _decompositions(p: QuantumDecisionProblem, psi: StateVector,
                 k = b.shape[1]
                 comp_norm = float(np.linalg.norm(coeff[col:col + k]))
                 col += k
-                if comp_norm <= 1e-9:
+                if comp_norm <= TOL_ORTH:
                     degenerate = True  # same split as a smaller subset
                     break
                 norms[m] = comp_norm
@@ -1305,7 +1357,7 @@ def _search_branch_uniqueness(p: QuantumDecisionProblem, budget: int,
                       for m in set(a) | set(b))
             if gap > 1e-6:
                 return _py({"target": "branch-uniqueness",
-                            "witness": {"state": state_payload(psi),
+                            "witness": {"state": encode_vector(psi.vec),
                                         "decompositions": [a, b],
                                         "norm_gap": gap}})
     return None
@@ -1338,19 +1390,8 @@ def _search_equivalence_step(p: QuantumDecisionProblem, budget: int,
             if gap > 1e-6:
                 return _py({"target": "equivalence-step",
                             "witness": {"act": act_payload(act),
-                                        "state": state_payload(psi),
+                                        "state": encode_vector(psi.vec),
                                         "whole_weights": whole,
                                         "blockwise_weights": blockwise,
                                         "weight_gap": gap}})
     return None
-
-
-def born_theorem_report(p: QuantumDecisionProblem, utility: UtilityTable,
-                        samples: int = 200, seed: int = 0) -> AuditReport:
-    """Standalone check that the reference order equals the EU order."""
-    oracle = BornOracle(p, utility)
-    rep = check_lemmas(p, oracle, utility, samples=samples, seed=seed)
-    keep = [r for r in rep.results
-            if r.name in ("Dominance", "StandardAct", "BornTheorem")]
-    return AuditReport("born-theorem", seed, samples, keep,
-                       oracle=oracle.name, problem=_problem_fingerprint(p))

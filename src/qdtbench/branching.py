@@ -81,9 +81,6 @@ class BranchTree:
                 return direct
         return math.exp(math.log(mult) + log_amp)
 
-    def total_mass(self) -> float:
-        return math.fsum(self.node_mass(c) for c in self.nodes)
-
     def leaf_count(self) -> int:
         return sum(self.nodes.values())
 
@@ -99,27 +96,14 @@ def grow(weights: Sequence[float], depth: int) -> BranchTree:
     return BranchTree(k=k, weights=ws, depth=depth, nodes=nodes)
 
 
-def counting_frequencies(tree: BranchTree) -> tuple[float, ...]:
-    """Outcome frequencies of the most numerous count vector.
+def modal_count_vector(tree: BranchTree) -> tuple[int, ...]:
+    """The most numerous count vector.
 
     Multiplicities are compared exactly; ties resolve to the
     lexicographically smallest count vector.  Because multiplicities are
     pure multinomial coefficients, the modal vector is as balanced as
     the depth allows, independent of the branch weights.
     """
-    if tree.depth < 1:
-        raise ValueError("frequencies need at least one branching round")
-    best = None
-    best_mult = -1
-    for counts in sorted(tree.nodes):
-        mult = tree.nodes[counts]
-        if mult > best_mult:
-            best, best_mult = counts, mult
-    return tuple(c / tree.depth for c in best)
-
-
-def modal_count_vector(tree: BranchTree) -> tuple[int, ...]:
-    """The argmax count vector behind counting_frequencies."""
     if tree.depth < 1:
         raise ValueError("modal vector needs at least one branching round")
     best = None
@@ -129,6 +113,11 @@ def modal_count_vector(tree: BranchTree) -> tuple[int, ...]:
         if mult > best_mult:
             best, best_mult = counts, mult
     return best
+
+
+def counting_frequencies(tree: BranchTree) -> tuple[float, ...]:
+    """Outcome frequencies of the modal count vector."""
+    return tuple(c / tree.depth for c in modal_count_vector(tree))
 
 
 def _deviating_counts(n: int, w1: float, eps: float) -> list[int]:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
                      WeightSumError)
-from .preference import Comparison
+from .preference import TIE_BAND, Comparison, bisect_indifference
 
 PROB_TOL = 1e-12
 
@@ -41,7 +41,7 @@ class Lottery:
                 raise WeightSumError(f"negative probability {pr} on {rid!r}")
             probs[str(rid)] = probs.get(str(rid), 0.0) + max(pr, 0.0)
         total = sum(probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > TIE_BAND:
             raise WeightSumError(f"lottery probabilities sum to {total!r}")
         self.probs = {k: probs[k] for k in sorted(probs) if probs[k] > 0.0}
 
@@ -56,7 +56,7 @@ class Lottery:
     def support(self) -> tuple[str, ...]:
         return tuple(self.probs)
 
-    def allclose(self, other: "Lottery", tol: float = 1e-9) -> bool:
+    def allclose(self, other: "Lottery", tol: float = TIE_BAND) -> bool:
         keys = set(self.probs) | set(other.probs)
         return all(abs(self.prob(k) - other.prob(k)) <= tol for k in keys)
 
@@ -100,7 +100,7 @@ class PMEUOracle(LotteryOracle):
 
     name = "pmeu"
 
-    def __init__(self, utility: Mapping[str, float], tie: float = 1e-9):
+    def __init__(self, utility: Mapping[str, float], tie: float = TIE_BAND):
         self.utility = dict(utility)
         self.tie = tie
 
@@ -175,20 +175,8 @@ def vnm_elicit(oracle: LotteryOracle, rewards: Sequence[str], r0: str,
         if c1 is Comparison.TIE:
             values[rid] = 1.0
             continue
-        lo, hi = 0.0, 1.0
-        u = None
-        steps = 0
-        while hi - lo > tol and steps < max_steps:
-            m = 0.5 * (lo + hi)
-            c = oracle.compare(standard(m), target)
-            steps += 1
-            if c is Comparison.TIE:
-                u = m
-                break
-            if c is Comparison.WORSE:
-                lo = m
-            else:
-                hi = m
+        lo, hi, u, _ = bisect_indifference(
+            lambda t: oracle.compare(standard(t), target), tol, max_steps)
         values[rid] = 0.5 * (lo + hi) if u is None else u
     return values
 
@@ -335,18 +323,9 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
     n = 0
     for a, b, c in chains[:samples]:
         n += 1
-        lo, hi = 0.0, 1.0
-        t_star = None
-        for _ in range(60):
-            m = 0.5 * (lo + hi)
-            got = oracle.compare(mix(ls[a], ls[c], m), ls[b])
-            if got is Comparison.TIE:
-                t_star = m
-                break
-            if got is Comparison.BETTER:
-                hi = m
-            else:
-                lo = m
+        # tol 0: only a tie or the 60-query cap ends the search
+        lo, hi, t_star, _ = bisect_indifference(
+            lambda t: oracle.compare(mix(ls[a], ls[c], t), ls[b]), 0.0, 60)
         if t_star is None and hi - lo > 1e-12:
             fails.append({"kind": "continuity",
                           "chain": [describe(ls[x]) for x in (a, b, c)],
@@ -399,7 +378,7 @@ class PlantedMeasureOracle(ActOracle):
     def __init__(self, measure: Mapping[str, float],
                  utility: Mapping[str, float], tie: float = 1e-12):
         total = sum(measure.values())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > TIE_BAND:
             raise WeightSumError(f"state measure sums to {total!r}")
         self.measure = dict(measure)
         self.utility = dict(utility)

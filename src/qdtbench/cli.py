@@ -34,9 +34,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-SAMPLED_COMMANDS = ("audit-richness", "audit-rationality", "check-lemmas",
-                    "born-theorem", "counterexample", "classical-vnm")
-
 
 class UsageError(Exception):
     pass
@@ -125,14 +122,6 @@ def _print_audit(display: str, report) -> None:
     print(f"RESULT {'pass' if report.ok else 'fail'}")
 
 
-def _audit_doc(command: str, display: str, report, extra: dict | None = None
-               ) -> dict:
-    doc = {"command": command, "instance": display, **report.to_dict()}
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -162,45 +151,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_audit_richness(args) -> int:
+def cmd_audit(args) -> int:
     seed = _seed_of(args)
     display, inst = _load(args.instance)
-    report = audit_mod.audit_richness(inst.problem, samples=args.samples,
-                                      seed=seed)
-    _write_report(_audit_doc("audit-richness", display, report), args.report)
-    _print_audit(display, report)
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_audit_rationality(args) -> int:
-    seed = _seed_of(args)
-    display, inst = _load(args.instance)
-    oracle = inst.oracle(args.oracle)
-    report = audit_mod.audit_rationality(inst.problem, oracle,
-                                         samples=args.samples, seed=seed)
-    _write_report(_audit_doc("audit-rationality", display, report),
-                  args.report)
-    _print_audit(display, report)
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_check_lemmas(args) -> int:
-    seed = _seed_of(args)
-    display, inst = _load(args.instance)
-    oracle = inst.oracle(args.oracle)
-    report = audit_mod.check_lemmas(inst.problem, oracle, inst.utility,
-                                    samples=args.samples, seed=seed)
-    _write_report(_audit_doc("check-lemmas", display, report), args.report)
-    _print_audit(display, report)
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_born_theorem(args) -> int:
-    seed = _seed_of(args)
-    display, inst = _load(args.instance)
-    report = audit_mod.born_theorem_report(inst.problem, inst.utility,
-                                           samples=args.samples, seed=seed)
-    _write_report(_audit_doc("born-theorem", display, report), args.report)
+    p, kw = inst.problem, {"samples": args.samples, "seed": seed}
+    if args.command == "audit-richness":
+        report = audit_mod.audit_richness(p, **kw)
+    elif args.command == "audit-rationality":
+        report = audit_mod.audit_rationality(p, inst.oracle(args.oracle), **kw)
+    elif args.command == "check-lemmas":
+        report = audit_mod.check_lemmas(p, inst.oracle(args.oracle),
+                                        inst.utility, **kw)
+    else:
+        report = audit_mod.born_theorem_report(p, inst.utility, **kw)
+    _write_report({"command": args.command, "instance": display,
+                   **report.to_dict()}, args.report)
     _print_audit(display, report)
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -238,7 +203,10 @@ def cmd_counterexample(args) -> int:
 
 def cmd_simulate(args) -> int:
     weights = _parse_floats(args.weights, "--weights")
-    depths = [int(v) for v in _parse_floats(args.n, "--n")]
+    depths = _parse_floats(args.n, "--n")
+    if not all(v.is_integer() for v in depths):
+        raise UsageError(f"--n: {args.n!r} has a non-integral depth")
+    depths = [int(v) for v in depths]
     if args.k != len(weights):
         raise UsageError(f"--k {args.k} does not match "
                          f"{len(weights)} weights")
@@ -296,6 +264,8 @@ def cmd_elicit(args) -> int:
 
 
 def cmd_classical_vnm(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     seed = _seed_of(args)
     display, inst = _load(args.instance)
     values = inst.utility.as_dict()
@@ -433,27 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit-richness",
                         help="instantiate the availability axioms")
     with_instance(sp)
-    sp.set_defaults(func=cmd_audit_richness)
+    sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("audit-rationality",
                         help="instantiate the preference axioms")
     with_instance(sp, oracle_kinds=("born", "counting", "table"))
-    sp.set_defaults(func=cmd_audit_rationality)
+    sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("check-lemmas",
                         help="check the derived-lemma chain")
     with_instance(sp, oracle_kinds=("born", "counting", "table"))
-    sp.set_defaults(func=cmd_check_lemmas)
+    sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("born-theorem",
                         help="check preference order = expected-utility order")
     with_instance(sp)
-    sp.set_defaults(func=cmd_born_theorem)
+    sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("counterexample",
                         help="search a relaxed instance for a violation")
     with_instance(sp, oracle_kinds=("born", "counting", "table"))
-    sp.add_argument("--relax", choices=("none", "orthmacr", "irrev"),
+    sp.add_argument("--relax", choices=("none", "orthmacr"),
                     default="none",
                     help="idealization to drop before searching")
     sp.add_argument("--axiom", required=True,

@@ -13,11 +13,12 @@ functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .branching import _check_weights
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, NormMismatch, NotSubevent,
                      OutsideDomain, WeightSumError, ZeroSubspace)
@@ -25,8 +26,6 @@ from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       TOL_ORTH, TOL_RANK, _orthonormal_columns)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
                       smallest_event_ids)
-
-WEIGHT_TOL = 1e-12
 
 
 def identity_act(event: Subspace) -> PartialIsometryAct:
@@ -57,33 +56,6 @@ def compose_acts(p: QuantumDecisionProblem, outer: PartialIsometryAct,
             "outer act is not defined on the inner act's smallest event")
     coords = outer.domain.basis.conj().T @ inner.matrix
     return PartialIsometryAct(inner.domain, outer.matrix @ coords)
-
-
-def _check_weights(weights: Sequence[float], *, positive: bool) -> list[float]:
-    ws = [float(w) for w in weights]
-    if not ws:
-        raise WeightSumError("empty weight list")
-    if positive and any(w <= 0 for w in ws):
-        raise WeightSumError(f"weights must be strictly positive, got {ws}")
-    if any(w < 0 for w in ws):
-        raise WeightSumError(f"weights must be nonnegative, got {ws}")
-    total = sum(ws)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise WeightSumError(f"weights sum to {total!r}, not 1")
-    return ws
-
-
-@dataclass(frozen=True)
-class ActRequest:
-    """A replayable description of a forge construction.
-
-    kind is one of "identity", "reward", "branching", "erasure-pair",
-    "weighted"; params hold the ids/weights needed to rebuild the act in
-    a fresh forge.  Witnesses in audit reports carry these so a failure
-    can be reconstructed without re-running the whole audit.
-    """
-    kind: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -247,7 +219,7 @@ class ActForge:
         the i-th target.  The rest of the macrostate follows into the
         same targets, so the act's image stays inside r.
         """
-        ws = _check_weights(weights, positive=True)
+        ws = _check_weights(weights)
         mac = self._macrostate_of(psi)
         r = self.problem.reward(self.problem.reward_of_macrostate(mac.id))
         if targets is None:
@@ -284,7 +256,7 @@ class ActForge:
         """
         items = [(rid, float(w)) for rid, w in sorted(reward_weights.items())
                  if float(w) != 0.0]
-        _check_weights([w for _, w in items], positive=True)
+        _check_weights([w for _, w in items])
         chosen: dict[str, str] = {}
         excl: set[str] = set()
         for rid, _ in items:
@@ -402,33 +374,3 @@ class ActForge:
         matrix = np.hstack([b.matrix for b in out_blocks])
         return CompatCombined(PartialIsometryAct(domain, matrix),
                               tuple(out_blocks), tuple(flags))
-
-    # -- request protocol ---------------------------------------------------
-
-    def build(self, request: ActRequest):
-        """Rebuild an act (or pair) from a replayable request."""
-        kind, pr = request.kind, request.params
-        if kind == "identity":
-            return identity_act(self.problem.event_of(pr["event"]))
-        if kind == "reward":
-            return self.reward_act(pr["macrostate"], pr["reward"],
-                                   target=pr.get("target"))
-        if kind == "branching":
-            return self.branching_act(StateVector(_decode_state(pr["state"])),
-                                      pr["weights"], targets=pr.get("targets"))
-        if kind == "weighted":
-            return self.weighted_act(StateVector(_decode_state(pr["state"])),
-                                     pr["weights"], targets=pr.get("targets"))
-        if kind == "erasure-pair":
-            return self.erasure_pair(StateVector(_decode_state(pr["state1"])),
-                                     StateVector(_decode_state(pr["state2"])))
-        raise ValueError(f"unknown act request kind {kind!r}")
-
-
-def _decode_state(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
-
-
-def encode_state(psi: StateVector) -> list[list[float]]:
-    """[re, im] pair encoding used by requests and reports."""
-    return [[float(z.real), float(z.imag)] for z in psi.vec]

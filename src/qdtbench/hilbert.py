@@ -13,8 +13,6 @@ raw span never loads scipy.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import DimensionMismatch, OutsideDomain, ZeroState
@@ -24,9 +22,6 @@ from .errors import DimensionMismatch, OutsideDomain, ZeroState
 TOL_ORTH = 1e-9   # orthogonality, membership, subspace equality
 TOL_NORM = 1e-9   # norm preservation / norm matching
 TOL_RANK = 1e-9   # numerical rank decisions
-
-#: how bases produced by :func:`orthonormalize` are canonicalized
-CANONICAL_FORM = "householder-qr-column-pivoting"
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -57,10 +52,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
-
-    @property
-    def is_unit(self) -> bool:
-        return abs(self.norm - 1.0) <= TOL_NORM
 
     def unit(self) -> "StateVector":
         """Normalized copy; raises ZeroState below numerical resolution."""
@@ -161,13 +152,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(np.eye(ambient_dim))
 
-    @classmethod
-    def span_of_basis_states(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
-        cols = np.zeros((ambient_dim, len(indices)), dtype=np.complex128)
-        for j, i in enumerate(indices):
-            cols[i, j] = 1.0
-        return cls(cols)
-
     # -- accessors --------------------------------------------------------
 
     @property
@@ -181,10 +165,6 @@ class Subspace:
     @property
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    @property
-    def canonical_form(self) -> str:
-        return CANONICAL_FORM
 
     def projector(self) -> np.ndarray:
         if self._proj is None:
@@ -289,19 +269,6 @@ def meet(e: Subspace, f: Subspace) -> Subspace:
     return complement(join(complement(e), complement(f)))
 
 
-def lattice(kind: str, e: Subspace, f: Subspace | None = None) -> Subspace:
-    """Dispatch on kind in {"meet", "join", "complement"}."""
-    if kind == "complement":
-        return complement(e)
-    if f is None:
-        raise ValueError(f"lattice kind {kind!r} needs two subspaces")
-    if kind == "meet":
-        return meet(e, f)
-    if kind == "join":
-        return join(e, f)
-    raise ValueError(f"unknown lattice operation {kind!r}")
-
-
 # -- partial isometries ----------------------------------------------------
 
 class PartialIsometryAct:
@@ -360,11 +327,6 @@ class PartialIsometryAct:
         tag = f", label={self.label!r}" if self.label else ""
         return (f"PartialIsometryAct(domain_dim={self.domain.dim}, "
                 f"ambient={self.domain.ambient_dim}{tag})")
-
-
-def apply_act(act: PartialIsometryAct, psi: StateVector,
-              tol: float = TOL_ORTH) -> StateVector:
-    return act.apply(psi, tol=tol)
 
 
 def acts_equal(u: PartialIsometryAct, v: PartialIsometryAct,

@@ -86,16 +86,15 @@ def decode_matrix(raw, rows: int, path: str) -> np.ndarray:
     return np.array(out, dtype=np.complex128)
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def encode_vector(v: np.ndarray) -> list:
-    return [encode_complex(z) for z in v]
+    """An [re, im] pair of Python floats per entry."""
+    v = np.asarray(v, dtype=np.complex128)
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def encode_matrix(m: np.ndarray) -> list:
-    return [[encode_complex(z) for z in row] for row in m]
+    """Row-major: one encode_vector list per row."""
+    return encode_vector(m)
 
 
 # -- acts -----------------------------------------------------------------

@@ -14,7 +14,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .problem import (AccessibleState, QuantumDecisionProblem,
 
 #: expected-utility differences at or below this count as indifference
 TIE_BAND = 1e-9
+#: act pairs the definitional null test enumerates before refusing
+MAX_NULL_PAIRS = 20000
 
 
 class Comparison(enum.IntEnum):
@@ -276,6 +278,31 @@ class ElicitResult:
     queries: int
 
 
+def bisect_indifference(compare: Callable[[float], Comparison], tol: float,
+                        max_steps: int
+                        ) -> tuple[float, float, float | None, int]:
+    """Bisect [0, 1] for the weight t at which compare(t) ties.
+
+    compare(t) ranks the weight-t member of a family, which must improve
+    with t, against a fixed target: WORSE moves the bracket up, BETTER
+    down.  Stops at a tie, once the bracket is no wider than tol, or
+    after max_steps queries.  Returns (lo, hi, tie, steps), where tie is
+    the weight that tied, or None.
+    """
+    lo, hi, steps = 0.0, 1.0, 0
+    while hi - lo > tol and steps < max_steps:
+        mid = 0.5 * (lo + hi)
+        c = compare(mid)
+        steps += 1
+        if c is Comparison.TIE:
+            return lo, hi, mid, steps
+        if c is Comparison.WORSE:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, None, steps
+
+
 def _probe_macrostate(p: QuantumDecisionProblem) -> str:
     """Deterministic probe choice: lowest-id macrostate of minimal dimension."""
     best = min(p.macrostates, key=lambda m: (m.subspace.dim, m.id))
@@ -333,20 +360,8 @@ def elicit_utility(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             u = 1.0
             nsteps = 0
         else:
-            lo, hi = 0.0, 1.0
-            nsteps = 0
-            u = None
-            while hi - lo > tol and nsteps < max_steps:
-                mid = 0.5 * (lo + hi)
-                c = compare_at(mid, r.id)
-                nsteps += 1
-                if c is Comparison.TIE:
-                    u = mid
-                    break
-                if c is Comparison.WORSE:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi, u, nsteps = bisect_indifference(
+                lambda t: compare_at(t, r.id), tol, max_steps)
             if u is None:
                 u = 0.5 * (lo + hi)
         # cheap non-monotonicity screen around the reported value
@@ -367,15 +382,14 @@ def elicit_utility(p: QuantumDecisionProblem, oracle: PreferenceOracle,
 
 # -- reward order ---------------------------------------------------------------
 
-def reward_order(p: QuantumDecisionProblem, oracle: PreferenceOracle,
-                 probe: str | None = None) -> list[list[str]]:
+def reward_order(p: QuantumDecisionProblem,
+                 oracle: PreferenceOracle) -> list[list[str]]:
     """Tiers of rewards, best first, from pairwise delivery comparisons.
 
     Raises IntransitiveOracle if the pairwise answers cannot be arranged
     into a total preorder.
     """
-    probe_id = probe if probe is not None else _probe_macrostate(p)
-    probe_mac = p.macrostate(probe_id)
+    probe_mac = p.macrostate(_probe_macrostate(p))
     psi = StateVector(probe_mac.subspace.basis[:, 0])
     forge = ActForge(p)
     acts = {r.id: forge.reward_act(probe_mac, r.id) for r in p.rewards}
@@ -436,8 +450,7 @@ def accessible_compare(p: QuantumDecisionProblem, acc: AccessibleState,
 def is_null_pair(p: QuantumDecisionProblem, event: Subspace, phi: StateVector,
                  method: str = "criterion",
                  catalog: Sequence[PartialIsometryAct] | None = None,
-                 oracle: PreferenceOracle | None = None,
-                 max_pairs: int = 20000) -> bool:
+                 oracle: PreferenceOracle | None = None) -> bool:
     """Whether the event carries no decision weight at phi.
 
     method="criterion": the projection of phi onto the event is
@@ -455,9 +468,9 @@ def is_null_pair(p: QuantumDecisionProblem, event: Subspace, phi: StateVector,
     usable = [a for a in catalog if a.domain.contains(phi.unit())]
     pairs = [(u, v) for u, v in combinations(usable, 2)
              if u.domain.equals(v.domain)]
-    if len(pairs) > max_pairs:
+    if len(pairs) > MAX_NULL_PAIRS:
         raise CatalogTooLarge(
-            f"{len(pairs)} act pairs exceed the cap of {max_pairs}")
+            f"{len(pairs)} act pairs exceed the cap of {MAX_NULL_PAIRS}")
     for u, v in pairs:
         outside = meet(complement(event), u.domain)
         if not acts_agree_on(u, v, outside):

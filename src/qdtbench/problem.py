@@ -56,14 +56,12 @@ class QuantumDecisionProblem:
 
     def __init__(self, dim: int, macrostates: Sequence[Macrostate],
                  rewards: Sequence[Reward], *, orthmacr: bool = True,
-                 act_generators: Sequence[PartialIsometryAct] = (),
-                 event_closure_depth: int = 1):
+                 act_generators: Sequence[PartialIsometryAct] = ()):
         self.dim = int(dim)
         self.macrostates = tuple(macrostates)
         self.rewards = tuple(rewards)
         self.orthmacr = bool(orthmacr)
         self.act_generators = tuple(act_generators)
-        self.event_closure_depth = int(event_closure_depth)
         self._macro_by_id = {m.id: m for m in self.macrostates}
         self._reward_by_id = {r.id: r for r in self.rewards}
         self._reward_of_macro = {}

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qdtbench.audit import (PERTURBATION_RADII, audit_rationality,
-                            audit_richness, born_theorem_report, check_lemmas,
+from qdtbench.audit import (PERTURBATION_RADII, RATIONALITY_AXIOMS,
+                            audit_rationality, audit_richness,
+                            born_theorem_report, check_lemmas,
                             find_counterexample, perturb_act, act_distance)
 from qdtbench.forge import ActForge
 from qdtbench.hilbert import PartialIsometryAct, StateVector, Subspace
@@ -156,6 +157,24 @@ def test_rationality_target_reuses_audit(std6):
     w = find_counterexample(std6.problem, std6.oracle("table"),
                             "Ord", budget=100, seed=0)
     assert w is not None
+
+
+def test_single_axiom_search_matches_full_audit(overlap2):
+    # the search runs only its target, on the substream the full audit
+    # gives it, so the witnesses must coincide
+    oracle = overlap2.oracle("counting")
+    report = audit_rationality(overlap2.problem, oracle, samples=100, seed=0)
+    found = 0
+    for target in RATIONALITY_AXIOMS:
+        w = find_counterexample(overlap2.problem, oracle, target,
+                                budget=100, seed=0)
+        res = report.result(target)
+        if res.witnesses:
+            found += 1
+            assert w == {"target": target, "witness": res.witnesses[0]}
+        else:
+            assert w is None
+    assert found
 
 
 # -- perturbation helper --------------------------------------------------

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from qdtbench.errors import (CannotOrthogonalize, DomainMismatch,
                              InsufficientDimension, NormMismatch, NotSubevent)
 from qdtbench.forge import ActForge, compose_acts, identity_act, restrict_act
-from qdtbench.hilbert import StateVector, acts_agree_on, apply_act, project
+from qdtbench.hilbert import StateVector, acts_agree_on, project
 from qdtbench.problem import born_weights
 
 TOL = 1e-9
 
 
 def image_of(p, act, psi):
-    return apply_act(act, psi)
+    return act.apply(psi)
 
 
 # -- reward delivery ----------------------------------------------------------
@@ -29,7 +29,7 @@ def test_reward_act_lands_inside_target_member(std6):
     p = std6.problem
     act = ActForge(p).reward_act("m0", "rA")
     psi = StateVector(p.macrostate("m0").subspace.basis[:, 0])
-    out = apply_act(act, psi)
+    out = act.apply(psi)
     w = born_weights(p, out)
     assert w["rA"] == pytest.approx(1.0, abs=TOL)
     assert out.norm == pytest.approx(1.0, abs=TOL)
@@ -39,7 +39,7 @@ def test_reward_act_respects_explicit_target(std6):
     p = std6.problem
     act = ActForge(p).reward_act("m0", "r1", target="m5")
     psi = StateVector(p.macrostate("m0").subspace.basis[:, 0])
-    out = apply_act(act, psi)
+    out = act.apply(psi)
     onto = project(p.macrostate("m5").subspace, out)
     assert onto.norm == pytest.approx(1.0, abs=TOL)
 
@@ -66,7 +66,7 @@ def test_branching_amplitudes_quarter_three_quarters(std6):
     p = std6.problem
     psi = StateVector(p.macrostate("m4").subspace.basis[:, 0])
     act = ActForge(p).branching_act(psi, (0.25, 0.75))
-    out = apply_act(act, psi)
+    out = act.apply(psi)
     w = born_weights(p, out)
     assert w["r1"] == pytest.approx(1.0, abs=TOL)
     mags = sorted(
@@ -98,7 +98,7 @@ def test_weighted_act_hits_requested_reward_weights(std6):
     psi = StateVector(p.macrostate("m0").subspace.basis[:, 0])
     want = {"r0": 0.2, "rA": 0.5, "r1": 0.3}
     act = ActForge(p).weighted_act(psi, want)
-    got = born_weights(p, apply_act(act, psi))
+    got = born_weights(p, act.apply(psi))
     for rid, w in want.items():
         assert got[rid] == pytest.approx(w, abs=TOL)
 
@@ -110,8 +110,8 @@ def test_erasure_pair_merges_states(std6):
     psi1 = StateVector(p.macrostate("m4").subspace.basis[:, 0])
     psi2 = StateVector(p.macrostate("m5").subspace.basis[:, 0])
     e1, e2 = ActForge(p).erasure_pair(psi1, psi2)
-    out1 = apply_act(e1, psi1)
-    out2 = apply_act(e2, psi2)
+    out1 = e1.apply(psi1)
+    out2 = e2.apply(psi2)
     assert np.allclose(out1.vec, out2.vec, atol=TOL)
     w = born_weights(p, out1)
     assert w["r1"] == pytest.approx(1.0, abs=TOL)
@@ -158,8 +158,8 @@ def test_compat_combine_retargets_shared_images(std6):
     combined = ActForge(p).compat_combine([b1, b2])
     psi0 = StateVector(p.macrostate("m0").subspace.basis[:, 0])
     psi1 = StateVector(p.macrostate("m1").subspace.basis[:, 0])
-    w0 = born_weights(p, apply_act(combined.act, psi0))
-    w1 = born_weights(p, apply_act(combined.act, psi1))
+    w0 = born_weights(p, combined.act.apply(psi0))
+    w1 = born_weights(p, combined.act.apply(psi1))
     assert w0["r1"] == pytest.approx(1.0, abs=TOL)
     assert w1["r1"] == pytest.approx(1.0, abs=TOL)
     from qdtbench.problem import smallest_event_ids
@@ -193,8 +193,8 @@ def test_compose_acts_is_matrix_composition(std6):
         StateVector(p.macrostate("m2").subspace.basis[:, 0]), (0.5, 0.5))
     vu = compose_acts(p, v, u)
     psi = StateVector(p.macrostate("m0").subspace.basis[:, 0])
-    direct = apply_act(v, apply_act(u, psi))
-    assert np.allclose(apply_act(vu, psi).vec, direct.vec, atol=TOL)
+    direct = v.apply(u.apply(psi))
+    assert np.allclose(vu.apply(psi).vec, direct.vec, atol=TOL)
 
 
 # -- isometry invariant -------------------------------------------------------

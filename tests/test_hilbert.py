@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from qdtbench.errors import OutsideDomain
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
-                              acts_agree_on, acts_equal, apply_act,
-                              basis_state, complement, join, lattice, meet,
-                              orthonormalize, project)
+                              acts_agree_on, acts_equal, basis_state,
+                              complement, join, meet, orthonormalize, project)
 
 from conftest import unitary_frame
 
@@ -79,15 +78,6 @@ def test_spin_joins_fill_the_plane():
     assert meet(up_z, up_x).dim == 0
 
 
-def test_lattice_dispatcher_matches_functions():
-    up_z, up_x, _ = _spin_rays()
-    assert sub_eq(lattice("meet", up_z, up_x), meet(up_z, up_x))
-    assert sub_eq(lattice("join", up_z, up_x), join(up_z, up_x))
-    assert sub_eq(lattice("complement", up_z), complement(up_z))
-    with pytest.raises(ValueError):
-        lattice("xor", up_z, up_x)
-
-
 # -- algebraic laws on random pairs -------------------------------------------
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
@@ -147,7 +137,7 @@ def test_apply_act_preserves_norm():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     act = PartialIsometryAct(dom, swap)
     psi = StateVector(np.array([0.6, 0.8]))
-    out = apply_act(act, psi)
+    out = act.apply(psi)
     assert out.norm == pytest.approx(psi.norm, abs=TOL)
     assert np.allclose(out.vec, [0.8, 0.6], atol=TOL)
 
@@ -169,4 +159,4 @@ def test_apply_act_outside_domain_is_rejected():
     act = PartialIsometryAct(axis0, np.array([[0.0], [1.0]], dtype=complex))
     outside = StateVector(np.array([0.0, 1.0]))
     with pytest.raises(OutsideDomain):
-        apply_act(act, outside)
+        act.apply(outside)

@@ -237,6 +237,11 @@ def test_cli_bundled_fixture_by_name():
     ["audit-richness", "--seed", "0", "--samples", "-5", "min2"],
     ["sweep-grain", "--k", "2", "--weights", "0.5,0.5", "--n", "3",
      "--theta-list", "nan"],
+    ["counterexample", "--seed", "0", "--relax", "irrev", "--axiom",
+     "branch-uniqueness", "irrev6"],
+    ["simulate", "--k", "2", "--weights", "0.5,0.5", "--n", "1.9",
+     "--eps", "0.1"],
+    ["classical-vnm", "--seed", "0", "--samples", "0", "std6"],
 ])
 def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
