@@ -35,10 +35,17 @@ def cases() -> dict[str, list[str]]:
         out[f"validate {tag}"] = ["validate", target]
         out[f"audit-richness {tag} seed=0"] = [
             "audit-richness", "--seed", "0", target]
-        out[f"audit-rationality born {tag} seed=0"] = [
-            "audit-rationality", "--seed", "0", "--oracle", "born", target]
+        for oracle in ("born", "counting"):
+            out[f"audit-rationality {oracle} {tag} seed=0"] = [
+                "audit-rationality", "--seed", "0", "--oracle", oracle,
+                target]
         for command in ("check-lemmas", "born-theorem"):
             out[f"{command} {tag} seed=0"] = [command, "--seed", "0", target]
+    out["audit-rationality table std6 seed=0"] = [
+        "audit-rationality", "--seed", "0", "--oracle", "table", "std6"]
+    out["audit-rationality born std6 seed=1"] = [
+        "audit-rationality", "--seed", "1", "--oracle", "born", "std6"]
+    out["check-lemmas std6 seed=1"] = ["check-lemmas", "--seed", "1", "std6"]
     for axiom in ("branch-uniqueness", "equivalence-step"):
         for seed in ("0", "1"):
             out[f"counterexample orthmacr {axiom} overlap2 seed={seed}"] = [
