@@ -640,13 +640,19 @@ def _compat(run, t, rng):
 
 def _ord(run, t, rng):
     """Completeness/antisymmetry of the pair answers and transitivity
-    over sampled act triples."""
+    over sampled act triples.
+
+    The asymmetry pass asks every ordered pair once; transitivity reads
+    those answers back, which is sound because oracles are pure.
+    """
     p, compare = run.p, run.oracle.compare
     per_mac = max(1, run.samples // max(1, len(p.macrostates)))
     for mac in p.macrostates:
         psi, acts = macrostate_probe_acts(p, mac, rng)
-        for u, v in combinations(acts, 2):
+        answer: dict[tuple[int, int], int] = {}
+        for (i, u), (j, v) in combinations(enumerate(acts), 2):
             c, back = compare(psi, u, v), compare(psi, v, u)
+            answer[i, j], answer[j, i] = int(c), int(back)
             t.check(c is back.flipped(),
                     {"kind": "asymmetry", "macrostate": mac.id,
                      "u": u.label, "v": v.label,
@@ -659,9 +665,7 @@ def _ord(run, t, rng):
             triples = [triples[i] for i in sorted(idx)]
         for i, j, k in triples:
             for a, b, c_ in permutations((i, j, k)):
-                cab = int(compare(psi, acts[a], acts[b]))
-                cbc = int(compare(psi, acts[b], acts[c_]))
-                cac = int(compare(psi, acts[a], acts[c_]))
+                cab, cbc, cac = answer[a, b], answer[b, c_], answer[a, c_]
                 if cab >= 0 and cbc >= 0 and cac < 0:
                     t.check(False,
                             {"kind": "transitivity", "macrostate": mac.id,

@@ -264,8 +264,6 @@ def cmd_elicit(args) -> int:
 
 
 def cmd_classical_vnm(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
     seed = _seed_of(args)
     display, inst = _load(args.instance)
     values = inst.utility.as_dict()
@@ -365,14 +363,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instance JSON path or bundled fixture name")
         sp.add_argument("--report", help="write the JSON report here")
         if sampled:
-            sp.add_argument("--samples", type=_nonnegative_int, default=200)
+            sp.add_argument("--samples", type=_positive_int, default=200)
             sp.add_argument("--seed", type=int, default=None,
                             help="required unless QDT_SEED is set")
         if oracle_kinds:

@@ -45,6 +45,18 @@ class StateVector:
         vec.setflags(write=False)
         self.vec = vec
 
+    @classmethod
+    def _trusted(cls, vec: np.ndarray) -> "StateVector":
+        """Wrap a finite 1-d complex128 array, skipping the copy and checks.
+
+        Only for results of finite arithmetic on validated states and
+        bases; the array is marked read-only in place.
+        """
+        vec.setflags(write=False)
+        state = object.__new__(cls)
+        state.vec = vec
+        return state
+
     @property
     def dim(self) -> int:
         return self.vec.size
@@ -58,7 +70,7 @@ class StateVector:
         n = self.norm
         if n < 1e-12:
             raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
-        return StateVector(self.vec / n)
+        return StateVector._trusted(self.vec / n)
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other>, conjugate-linear in self."""
@@ -235,7 +247,7 @@ def project(subspace: Subspace, psi: StateVector) -> StateVector:
         raise DimensionMismatch(
             f"state dim {psi.dim} vs ambient {subspace.ambient_dim}")
     b = subspace.basis
-    return StateVector(b @ (b.conj().T @ psi.vec))
+    return StateVector._trusted(b @ (b.conj().T @ psi.vec))
 
 
 # -- lattice operations ---------------------------------------------------
@@ -311,7 +323,7 @@ class PartialIsometryAct:
         if residual > tol:
             raise OutsideDomain(
                 f"state lies {residual:.3e} outside the act's domain")
-        return StateVector(self.matrix @ coords)
+        return StateVector._trusted(self.matrix @ coords)
 
     def as_operator(self) -> np.ndarray:
         """Ambient d x d matrix: the act on its domain, zero on the complement."""

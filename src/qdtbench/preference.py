@@ -18,8 +18,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CannotOrthogonalize, CatalogTooLarge, DomainMismatch,
-                     IntransitiveOracle, MissingUtility, NonMonotoneOracle)
+from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
+                     DomainMismatch, IntransitiveOracle, MissingUtility,
+                     NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
                       acts_agree_on, complement, meet, project)
@@ -79,11 +80,16 @@ def expected_utility(p: QuantumDecisionProblem, psi: StateVector,
     """Sum over rewards of (squared image amplitude) x utility.
 
     psi is normalized internally; it must lie in the act's domain.
+    Each weight is the squared norm of the image's projection onto the
+    reward subspace, computed inline rather than through `project`.
     """
-    phi = act.apply(psi.unit())
+    phi = act.apply(psi.unit()).vec
+    if phi.size != p.dim:
+        raise DimensionMismatch(f"state dim {phi.size} vs problem dim {p.dim}")
     total = 0.0
     for rid in p.reward_ids:
-        w = project(p.reward_subspace(rid), phi).norm ** 2
+        b = p.reward_subspace(rid).basis
+        w = float(np.linalg.norm(b @ (b.conj().T @ phi))) ** 2
         total += w * utility.of(rid)
     return float(total)
 
@@ -102,7 +108,11 @@ def born_compare(p: QuantumDecisionProblem, psi: StateVector,
 # -- oracles -----------------------------------------------------------------
 
 class PreferenceOracle(ABC):
-    """Three-way comparator of two acts at a state in both domains."""
+    """Three-way comparator of two acts at a state in both domains.
+
+    `compare` must be a pure function of its arguments: audits reuse an
+    answer instead of asking the same question twice.
+    """
 
     name = "oracle"
 
@@ -465,15 +475,21 @@ def is_null_pair(p: QuantumDecisionProblem, event: Subspace, phi: StateVector,
         raise ValueError(f"unknown null-pair method {method!r}")
     if catalog is None or oracle is None:
         raise ValueError("definitional method needs a catalog and an oracle")
-    usable = [a for a in catalog if a.domain.contains(phi.unit())]
+    unit = phi.unit()
+    usable = [a for a in catalog if a.domain.contains(unit)]
     pairs = [(u, v) for u, v in combinations(usable, 2)
              if u.domain.equals(v.domain)]
     if len(pairs) > MAX_NULL_PAIRS:
         raise CatalogTooLarge(
             f"{len(pairs)} act pairs exceed the cap of {MAX_NULL_PAIRS}")
+    # keyed by domain object, not projector equality, so each value is
+    # exactly the meet the pair itself would compute
+    outside_of: dict[int, Subspace] = {}
     for u, v in pairs:
-        outside = meet(complement(event), u.domain)
-        if not acts_agree_on(u, v, outside):
+        key = id(u.domain)
+        if key not in outside_of:
+            outside_of[key] = meet(complement(event), u.domain)
+        if not acts_agree_on(u, v, outside_of[key]):
             continue
         if oracle.compare(phi, u, v) is not Comparison.TIE:
             return False

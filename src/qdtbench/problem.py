@@ -69,6 +69,7 @@ class QuantumDecisionProblem:
             for mid in r.members:
                 self._reward_of_macro.setdefault(mid, r.id)
         self._reward_spaces: dict[str, Subspace] = {}
+        self._events: dict[tuple[str, ...], Subspace] = {}
 
     # -- lookups ----------------------------------------------------------
 
@@ -113,12 +114,18 @@ class QuantumDecisionProblem:
         return self._reward_spaces[rid]
 
     def event_of(self, mids: Iterable[str]) -> Subspace:
-        """Join of the named macrostates."""
-        ids = list(mids)
-        if not ids:
-            return Subspace.zero(self.dim)
-        cols = np.hstack([self._macro_by_id[m].subspace.basis for m in ids])
-        return Subspace(_orthonormal_columns(cols))
+        """Join of the named macrostates (cached by the ids in the order
+        given, since the QR basis depends on the column order)."""
+        ids = tuple(mids)
+        if ids not in self._events:
+            if not ids:
+                event = Subspace.zero(self.dim)
+            else:
+                cols = np.hstack([self._macro_by_id[m].subspace.basis
+                                  for m in ids])
+                event = Subspace(_orthonormal_columns(cols))
+            self._events[ids] = event
+        return self._events[ids]
 
     def __repr__(self) -> str:
         return (f"QuantumDecisionProblem(dim={self.dim}, "

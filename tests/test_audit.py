@@ -15,7 +15,8 @@ import scipy.linalg
 from qdtbench.audit import (PERTURBATION_RADII, RATIONALITY_AXIOMS,
                             audit_rationality, audit_richness,
                             born_theorem_report, check_lemmas,
-                            find_counterexample, perturb_act, act_distance)
+                            find_counterexample, macrostate_probe_acts,
+                            perturb_act, act_distance)
 from qdtbench.forge import ActForge
 from qdtbench.hilbert import PartialIsometryAct, StateVector, Subspace
 
@@ -157,6 +158,32 @@ def test_rationality_target_reuses_audit(std6):
     w = find_counterexample(std6.problem, std6.oracle("table"),
                             "Ord", budget=100, seed=0)
     assert w is not None
+
+
+class CountingCalls:
+    """Wraps an oracle and counts its compare calls per ordered pair."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.asked = {}
+
+    def compare(self, psi, u, v):
+        key = (psi.vec.tobytes(), u.label, v.label)
+        self.asked[key] = self.asked.get(key, 0) + 1
+        return self.oracle.compare(psi, u, v)
+
+
+def test_ord_asks_each_ordered_pair_once(std6):
+    # transitivity reads the asymmetry pass's answers back, so the whole
+    # check costs n(n-1) calls per macrostate menu of n acts; the menu
+    # size does not depend on the sampled standard-act weight on std6
+    p = std6.problem
+    counted = CountingCalls(std6.oracle("born"))
+    find_counterexample(p, counted, "Ord", budget=100, seed=0)
+    sizes = [len(macrostate_probe_acts(p, mac, np.random.default_rng(0))[1])
+             for mac in p.macrostates]
+    assert sum(counted.asked.values()) == sum(n * (n - 1) for n in sizes)
+    assert set(counted.asked.values()) == {1}
 
 
 def test_single_axiom_search_matches_full_audit(overlap2):

@@ -52,6 +52,36 @@ def test_project_onto_axis():
     assert np.allclose(out.vec, [1.0, 0.0], atol=TOL)
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_internal_states_match_public_constructor(dim):
+    # project, act.apply and unit() skip the public constructor's copy
+    # and checks; their arrays must still be the bits it would give,
+    # and read-only
+    rng = np.random.default_rng([dim, 29])
+    for rank in range(1, dim + 1):
+        sub = Subspace(unitary_frame("haar", dim, rng)[:, :rank])
+        act = PartialIsometryAct(sub, unitary_frame("haar", dim, rng)[:, :rank])
+        psi = StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        inside = StateVector(sub.basis @ (rng.normal(size=rank)
+                                          + 1j * rng.normal(size=rank)))
+        b = sub.basis
+        cases = [
+            (project(sub, psi), b @ (b.conj().T @ psi.vec)),
+            (act.apply(inside), act.matrix @ (b.conj().T @ inside.vec)),
+            (psi.unit(), psi.vec / psi.norm),
+        ]
+        for got, raw in cases:
+            assert got.vec.tobytes() == StateVector(raw).vec.tobytes()
+            assert not got.vec.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 0.0],
+                                 [1.0, complex(0.0, -np.inf)]])
+def test_public_state_constructor_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        StateVector(np.array(bad, dtype=complex))
+
+
 # -- the spin fixture ---------------------------------------------------------
 
 def _spin_rays():

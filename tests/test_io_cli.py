@@ -5,6 +5,8 @@ field, and every command must honour the pass / audited-failure / usage
 exit-code split.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtbench import cli as qdt_cli
 from qdtbench.errors import ParseError, SchemaError, ValidationError
@@ -242,6 +246,9 @@ def test_cli_bundled_fixture_by_name():
     ["simulate", "--k", "2", "--weights", "0.5,0.5", "--n", "1.9",
      "--eps", "0.1"],
     ["classical-vnm", "--seed", "0", "--samples", "0", "std6"],
+    ["born-theorem", "--seed", "0", "--samples", "0", "std6"],
+    ["counterexample", "--seed", "0", "--samples", "0", "--relax",
+     "orthmacr", "--axiom", "branch-uniqueness", "overlap2"],
 ])
 def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -249,6 +256,50 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+# Numeric tokens for the fuzz test: legal values stay small (the series
+# commands have no cost guard yet, so a legal depth of 10^9 would run for
+# hours), illegal ones cover signs, non-finite and non-numeric text.
+_BAD_TOKENS = ["-1", "0", "nan", "inf", "-inf", "1e999", "abc", "", "0x10",
+               "1,2", " ", "1.5", "-0.0"]
+_INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(_BAD_TOKENS))
+_FLOATS = st.one_of(st.floats(-2.0, 2.0).map(repr),
+                    st.sampled_from(["0.5", "0.25", "1e-3", "1e-300"]),
+                    st.sampled_from(_BAD_TOKENS))
+_LISTS = st.lists(st.one_of(_INTS, _FLOATS), min_size=1,
+                  max_size=3).map(",".join)
+
+
+@st.composite
+def _cheap_argv(draw):
+    kind = draw(st.sampled_from(["validate", "elicit", "simulate",
+                                 "sweep-grain", "savage", "classical-vnm"]))
+    if kind == "validate":
+        return ["validate", draw(st.sampled_from(["min2", "nosuch", "5"]))]
+    if kind == "elicit":
+        return ["elicit", "min2", "--tol", draw(_FLOATS)]
+    if kind == "simulate":
+        return ["simulate", "--k", draw(_INTS), "--weights", draw(_LISTS),
+                "--n", draw(_LISTS), "--eps", draw(_FLOATS)]
+    if kind == "sweep-grain":
+        return ["sweep-grain", "--k", draw(_INTS), "--weights", draw(_LISTS),
+                "--n", draw(_INTS), "--theta-list", draw(_LISTS)]
+    if kind == "savage":
+        return ["savage", "--cells", draw(_INTS)]
+    return ["classical-vnm", "--seed", draw(_INTS), "--samples",
+            draw(_INTS), "min2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cheap_argv())
+def test_cli_exit_contract_on_fuzzed_numbers(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = qdt_cli.main(argv)
+    assert rc in (0, 1, 2), argv
+    text = err.getvalue()
+    assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
 
 
 def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):

@@ -8,6 +8,7 @@ code computing both sides.
 import numpy as np
 import pytest
 
+from qdtbench import preference
 from qdtbench.audit import discriminable_support, null_probe_catalog
 from qdtbench.errors import MissingUtility
 from qdtbench.forge import ActForge, identity_act
@@ -182,6 +183,33 @@ def test_null_regression_support_covering_best_reward(std6):
     assert not is_null_pair(p, event, phi, method="criterion")
     assert not is_null_pair(p, event, phi, method="definitional",
                             catalog=catalog, oracle=oracle)
+
+
+@pytest.mark.parametrize("ids", [("m4",), ("m0",), ()])
+def test_definitional_null_test_meets_once(std6, ids, monkeypatch):
+    # every probe act shares one domain object, so the part of the
+    # domain outside the event is computed once, not once per pair
+    p = std6.problem
+    calls = []
+    real_meet = preference.meet
+
+    def counted_meet(e, f):
+        calls.append(f)
+        return real_meet(e, f)
+
+    monkeypatch.setattr(preference, "meet", counted_meet)
+    catalog = null_probe_catalog(p, ("m0",))
+    assert len(catalog) > 2
+    is_null_pair(p, p.event_of(list(ids)), probe_state(p, "m0"),
+                 method="definitional", catalog=catalog,
+                 oracle=BornOracle(p, std6.utility))
+    assert len(calls) <= 1
+
+
+def test_event_of_is_cached_by_id_tuple(std6):
+    p = std6.problem
+    assert p.event_of(["m0", "m4"]) is p.event_of(("m0", "m4"))
+    assert p.event_of([]) is p.event_of(())
 
 
 def test_support_without_discriminating_probe_is_detected(min2):
