@@ -80,8 +80,8 @@ def expected_utility(p: QuantumDecisionProblem, psi: StateVector,
     """Sum over rewards of (squared image amplitude) x utility.
 
     psi is normalized internally; it must lie in the act's domain.
-    Each weight is the squared norm of the image's projection onto the
-    reward subspace, computed inline rather than through `project`.
+    Each weight is the arithmetic of `project(...).norm ** 2`, bit for
+    bit, without building a state per reward.
     """
     phi = act.apply(psi.unit()).vec
     if phi.size != p.dim:
