@@ -1,7 +1,8 @@
 """Golden byte corpus: exact report and stdout bytes of audit-type commands.
 
 Each case runs in-process through `cli.main`; the corpus stores the
-sha256 of the report file and of stdout, plus the exit code.  A change
+sha256 of the output file (the JSON report, or the CSV for the series
+commands) and of stdout, plus the exit code.  A change
 that claims to keep reports byte-identical must leave this test green.
 
 To re-record after an intended output change, run by hand from the
@@ -23,6 +24,8 @@ CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 FIXTURES = ("min2", "std6", "std8", "overlap2", "irrev6")
 #: file name -> random_problem(seed, n_macrostates, n_middle_rewards)
 RANDOM_INSTANCES = {"rand0.json": (0, 6, 1), "rand1.json": (1, 5, 0)}
+#: commands that write a CSV through --out instead of a --report
+CSV_COMMANDS = ("simulate", "sweep-grain")
 
 
 def cases() -> dict[str, list[str]]:
@@ -46,6 +49,13 @@ def cases() -> dict[str, list[str]]:
     out["audit-rationality born std6 seed=1"] = [
         "audit-rationality", "--seed", "1", "--oracle", "born", "std6"]
     out["check-lemmas std6 seed=1"] = ["check-lemmas", "--seed", "1", "std6"]
+    for command in ("audit-richness", "check-lemmas", "born-theorem"):
+        out[f"{command} overlap2 seed=1"] = [command, "--seed", "1",
+                                             "overlap2"]
+    for oracle in ("born", "counting"):
+        out[f"audit-rationality {oracle} overlap2 seed=1"] = [
+            "audit-rationality", "--seed", "1", "--oracle", oracle,
+            "overlap2"]
     for axiom in ("branch-uniqueness", "equivalence-step"):
         for seed in ("0", "1"):
             out[f"counterexample orthmacr {axiom} overlap2 seed={seed}"] = [
@@ -64,6 +74,12 @@ def cases() -> dict[str, list[str]]:
     for oracle in ("pmeu", "lex"):
         out[f"classical-vnm {oracle} std6 seed=0"] = [
             "classical-vnm", "--seed", "0", "--oracle", oracle, "std6"]
+    out["savage cells=24"] = ["savage", "--cells", "24"]
+    out["simulate k=2"] = ["simulate", "--k", "2", "--weights", "0.3,0.7",
+                           "--n", "10,40,200", "--eps", "0.1"]
+    out["sweep-grain k=3"] = ["sweep-grain", "--k", "3",
+                              "--weights", "0.2,0.3,0.5", "--n", "6",
+                              "--theta-list", "0.001,0.01,0.05"]
     return out
 
 
@@ -75,14 +91,15 @@ def write_random_instances(directory: Path) -> None:
 
 
 def run_case(argv: list[str], directory: Path) -> dict:
-    """Exit code and the sha256 of the report and stdout bytes."""
+    """Exit code and the sha256 of the output file and stdout bytes."""
     from qdtbench import cli
     report = directory / "report.json"
     report.unlink(missing_ok=True)
     argv = [a.replace("{inst}", str(directory)) for a in argv]
+    flag = "--out" if argv[0] in CSV_COMMANDS else "--report"
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv + ["--report", str(report)])
+        rc = cli.main(argv + [flag, str(report)])
     return {"exit": rc,
             "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest(),
             "stdout_sha256": hashlib.sha256(
