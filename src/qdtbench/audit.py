@@ -192,11 +192,14 @@ class _Tally:
         self.notes: list[str] = []
 
     def check(self, ok: bool, witness=None) -> None:
+        """Count one check.  `witness` is a dict or a zero-argument callable
+        returning one; a callable runs only for a failure that is kept."""
         self.samples += 1
         if not ok:
             self.fail_count += 1
             if witness is not None and len(self.witnesses) < WITNESS_CAP:
-                self.witnesses.append(_py(witness))
+                self.witnesses.append(_py(witness() if callable(witness)
+                                          else witness))
 
     def skip(self, reason: str) -> None:
         if reason not in self.skips:
@@ -443,11 +446,12 @@ def _restr(run, t, rng):
             try:
                 sub = restrict_act(act, m.subspace)
             except Exception as exc:  # any failure is an availability failure
-                t.check(False, {"act": act_payload(act), "subevent": m.id,
-                                "error": repr(exc)})
+                t.check(False, lambda: {"act": act_payload(act),
+                                        "subevent": m.id,
+                                        "error": repr(exc)})
                 continue
             t.check(acts_agree_on(sub, act, m.subspace),
-                    {"act": act_payload(act), "subevent": m.id})
+                    lambda: {"act": act_payload(act), "subevent": m.id})
     if t.samples == 0:
         t.skip("no catalog act spans more than one macrostate")
 
@@ -472,12 +476,13 @@ def _compos(run, t, rng):
             try:
                 comp = compose_acts(p, v, act)
             except Exception as exc:
-                t.check(False, {"act": act_payload(act),
-                                "follower": v.label, "error": repr(exc)})
+                t.check(False, lambda: {"act": act_payload(act),
+                                        "follower": v.label,
+                                        "error": repr(exc)})
                 continue
             want = v.apply(act.apply(psi))
             t.check(comp.apply(psi).allclose(want),
-                    {"act": act_payload(act), "follower": v.label})
+                    lambda: {"act": act_payload(act), "follower": v.label})
 
 
 def _irrev(run, t, rng):
@@ -493,8 +498,8 @@ def _irrev(run, t, rng):
         for a, b in combinations(inside, 2):
             shared = sorted(images[a.id] & images[b.id])
             t.check(not shared,
-                    {"act": act_payload(act), "pair": [a.id, b.id],
-                     "shared_macrostates": shared})
+                    lambda: {"act": act_payload(act), "pair": [a.id, b.id],
+                             "shared_macrostates": shared})
     if t.samples == 0:
         t.skip("no catalog act spans more than one macrostate")
 
@@ -509,13 +514,14 @@ def _prcont(run, t, rng):
             try:
                 near = perturb_act(act, radius, rng)
             except Exception as exc:
-                t.check(False, {"act": act_payload(act), "radius": radius,
-                                "error": repr(exc)})
+                t.check(False, lambda: {"act": act_payload(act),
+                                        "radius": radius,
+                                        "error": repr(exc)})
                 continue
             dist = act_distance(near, act)
             t.check(dist <= 10.0 * radius + 1e-12,
-                    {"act": act_payload(act), "radius": radius,
-                     "distance": dist})
+                    lambda: {"act": act_payload(act), "radius": radius,
+                             "distance": dist})
 
 
 def _reav(run, t, rng):
@@ -668,11 +674,12 @@ def _ord(run, t, rng):
                 cab, cbc, cac = answer[a, b], answer[b, c_], answer[a, c_]
                 if cab >= 0 and cbc >= 0 and cac < 0:
                     t.check(False,
-                            {"kind": "transitivity", "macrostate": mac.id,
-                             "cycle": [acts[a].label, acts[b].label,
-                                       acts[c_].label],
-                             "comparisons": [cab, cbc, cac],
-                             "state": encode_vector(psi.vec)})
+                            lambda: {"kind": "transitivity",
+                                     "macrostate": mac.id,
+                                     "cycle": [acts[a].label, acts[b].label,
+                                               acts[c_].label],
+                                     "comparisons": [cab, cbc, cac],
+                                     "state": encode_vector(psi.vec)})
                 else:
                     t.check(True)
 
@@ -718,9 +725,10 @@ def _brindif(run, t, rng):
                 nontrivial = True
             got = run.oracle.compare(psi, act, identity_act(mac.subspace))
             t.check(got is Comparison.TIE,
-                    {"macrostate": mac.id, "weights": list(ws),
-                     "state": encode_vector(psi.vec),
-                     "branching_act": act_payload(act), "got": int(got)})
+                    lambda: {"macrostate": mac.id, "weights": list(ws),
+                             "state": encode_vector(psi.vec),
+                             "branching_act": act_payload(act),
+                             "got": int(got)})
     if t.samples and not nontrivial:
         t.note("only single-branch branchings fit this instance")
 
@@ -742,8 +750,8 @@ def _erindif(run, t, rng):
             got = run.oracle.compare(
                 psi, act, identity_act(p.macrostate(mid).subspace))
             t.check(got is Comparison.TIE,
-                    {"reward": r.id, "macrostate": mid,
-                     "state": encode_vector(psi.vec), "got": int(got)})
+                    lambda: {"reward": r.id, "macrostate": mid,
+                             "state": encode_vector(psi.vec), "got": int(got)})
 
 
 def _resup(run, t, rng):
@@ -768,8 +776,8 @@ def _resup(run, t, rng):
         for act in keepers:
             got = run.oracle.compare(psi, act, identity_act(mac.subspace))
             t.check(got is Comparison.TIE,
-                    {"macrostate": mac.id, "act": act_payload(act),
-                     "state": encode_vector(psi.vec), "got": int(got)})
+                    lambda: {"macrostate": mac.id, "act": act_payload(act),
+                             "state": encode_vector(psi.vec), "got": int(got)})
 
 
 def _stasup(run, t, rng):
@@ -813,10 +821,10 @@ def _stasup(run, t, rng):
             c1 = run.oracle.compare(psi1, u1, e1)
             c2 = run.oracle.compare(psi2, u2, e2)
             t.check(c1 is c2,
-                    {"reward": r.id, "macrostates": [m1, m2],
-                     "state1": encode_vector(psi1.vec),
-                     "state2": encode_vector(psi2.vec),
-                     "got": [int(c1), int(c2)]})
+                    lambda: {"reward": r.id, "macrostates": [m1, m2],
+                             "state1": encode_vector(psi1.vec),
+                             "state2": encode_vector(psi2.vec),
+                             "got": [int(c1), int(c2)]})
 
 
 def _macindif(run, t, rng):
@@ -962,9 +970,10 @@ def _brcons(run, t, rng):
         else:
             # mixed branch verdicts: the axiom is silent, count as checked
             ok = True
-        t.check(ok, {"origin": mac.id, "branches": [b[0] for b in branches],
-                     "per_branch": per_branch, "got": int(got),
-                     "state": encode_vector(acc.state.vec)})
+        t.check(ok, lambda: {"origin": mac.id,
+                             "branches": [b[0] for b in branches],
+                             "per_branch": per_branch, "got": int(got),
+                             "state": encode_vector(acc.state.vec)})
 
 
 def _solcont(run, t, rng):
@@ -985,11 +994,12 @@ def _solcont(run, t, rng):
                 got = compare(psi, u2, v2)
                 if radius == PERTURBATION_RADII[0]:
                     t.check(got is Comparison.BETTER,
-                            {"macrostate": mac.id, "radius": radius,
-                             "u": u.label, "v": v.label, "got": int(got),
-                             "state": encode_vector(psi.vec),
-                             "u_act": act_payload(u),
-                             "v_act": act_payload(v)})
+                            lambda: {"macrostate": mac.id, "radius": radius,
+                                     "u": u.label, "v": v.label,
+                                     "got": int(got),
+                                     "state": encode_vector(psi.vec),
+                                     "u_act": act_payload(u),
+                                     "v_act": act_payload(v)})
                 elif got is not Comparison.BETTER:
                     flips_large += 1
     if flips_large:
@@ -1054,9 +1064,9 @@ def _nullity(run, t, rng):
             b = is_null_pair(p, event, phi, method="definitional",
                              catalog=catalog, oracle=run.oracle)
             t.check(a == b,
-                    {"event": list(ids), "support": list(support),
-                     "criterion": a, "definitional": b,
-                     "state": encode_vector(phi.vec)})
+                    lambda: {"event": list(ids), "support": list(support),
+                             "criterion": a, "definitional": b,
+                             "state": encode_vector(phi.vec)})
 
 
 def _dominance(run, t, rng):

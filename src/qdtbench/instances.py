@@ -9,6 +9,8 @@ catch; the rest are clean.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .forge import ActForge
@@ -139,6 +141,17 @@ FIXTURE_BUILDERS = {
 }
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random unitary: the draw of `scipy.stats.unitary_group.rvs`,
+    same arithmetic, same bits and the same generator state after."""
+    z = (1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim))))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= d / abs(d)
+    return q
+
+
 def random_problem(seed: int, n_macrostates: int | None = None,
                    n_middle_rewards: int | None = None) -> LoadedInstance:
     """A random clean instance with room for every forged construction.
@@ -159,8 +172,7 @@ def random_problem(seed: int, n_macrostates: int | None = None,
     if n_macrostates - 4 < n_middle_rewards:
         raise ValueError("not enough macrostates for that many middle rewards")
     dim = n_macrostates
-    import scipy.stats  # deferred: the CLI never draws random instances
-    frame = scipy.stats.unitary_group.rvs(dim, random_state=rng)
+    frame = haar_unitary(dim, rng)
     ids = [f"m{i}" for i in range(n_macrostates)]
     macs = [Macrostate(mid, Subspace(frame[:, [i]]))
             for i, mid in enumerate(ids)]

@@ -5,16 +5,20 @@ spin example pins the distributivity failure exactly, and the algebraic
 laws that do hold are checked on random subspaces.
 """
 
+import importlib.machinery
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtbench import hilbert
 from qdtbench.errors import OutsideDomain
-from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
-                              acts_agree_on, acts_equal, basis_state,
-                              complement, join, meet, orthonormalize, project)
+from qdtbench.hilbert import (TOL_RANK, PartialIsometryAct, StateVector,
+                              Subspace, _orthonormal_columns, acts_agree_on,
+                              acts_equal, basis_state, complement, join, meet,
+                              orthonormalize, project)
 
 from conftest import unitary_frame
 
@@ -151,6 +155,54 @@ def test_complement_matches_scipy_null_space_bit_for_bit(dim, kind):
             ref = scipy.linalg.null_space(e.basis.conj().T)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+def _qr_inputs(dim: int, rng) -> list[np.ndarray]:
+    """Column sets the pivoted QR sees: random complex, stacked
+    orthonormal bases that may share columns (what `join` passes),
+    axis-aligned columns with a repeat, and a wide matrix (k > d)."""
+    k = int(rng.integers(1, dim + 1))
+    frame = unitary_frame("haar", dim, rng)
+    lo, j = int(rng.integers(0, dim)), int(rng.integers(0, dim + 1))
+    eye = np.eye(dim, dtype=np.complex128)
+    axis = rng.permutation(dim)[:k]
+    wide = dim + int(rng.integers(1, 4))
+    return [rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)),
+            np.hstack([frame[:, :j], frame[:, lo:lo + k]]),
+            np.hstack([eye[:, axis], eye[:, axis[:1]]]),
+            rng.normal(size=(dim, wide)) + 1j * rng.normal(size=(dim, wide))]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_orthonormal_columns_matches_scipy_qr_bit_for_bit(dim):
+    # pins the private `_flapack` calls to the public scipy.linalg.qr
+    rng = np.random.default_rng([dim, 23])
+    for _ in range(25):
+        for a in _qr_inputs(dim, rng):
+            before = a.copy()
+            q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+            rank = int(np.sum(np.abs(np.diag(r)) > TOL_RANK))
+            ref = np.ascontiguousarray(q[:, :rank])
+            got = _orthonormal_columns(a)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_orthonormal_columns_rejects_non_finite_input(bad):
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 2] = bad
+    with pytest.raises(ValueError):
+        _orthonormal_columns(a)
+    with pytest.raises(ValueError):
+        orthonormalize(a)
+
+
+def test_flapack_falls_back_to_the_package_import(monkeypatch):
+    from scipy.linalg import _flapack
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    assert hilbert._flapack.__wrapped__() is _flapack
 
 
 # -- partial isometries -------------------------------------------------------

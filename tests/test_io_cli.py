@@ -302,11 +302,14 @@ def test_cli_exit_contract_on_fuzzed_numbers(argv):
     assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
 
 
-def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
-    # a fresh interpreter: this pytest process has already imported scipy
+def test_cli_commands_never_import_the_scipy_package(tmp_path):
+    # a fresh interpreter: this pytest process has already imported scipy.
+    # The pivoted QR loads scipy's compiled LAPACK wrapper by file path;
+    # that extension is the one scipy module a command may leave behind.
     script = textwrap.dedent("""
         import sys
         from qdtbench import cli
+        from qdtbench.instances import random_problem
 
         def loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -321,6 +324,21 @@ def test_cli_import_and_light_commands_leave_scipy_unloaded(tmp_path):
                 ["--help"], ["frobnicate"]):
             cli.main(argv)
         assert not loaded(), loaded()
+        random_problem(0)
+        assert set(loaded()) <= {"scipy.linalg._flapack"}, loaded()
+        for argv in (
+                ["validate", "std6"],
+                ["elicit", "min2"],
+                ["audit-richness", "--seed", "0", "--samples", "5", "min2"],
+                ["audit-rationality", "--seed", "0", "--samples", "5",
+                 "min2"],
+                ["check-lemmas", "--seed", "0", "--samples", "5", "min2"],
+                ["born-theorem", "--seed", "0", "--samples", "5", "min2"],
+                ["counterexample", "--seed", "0", "--relax", "orthmacr",
+                 "--axiom", "branch-uniqueness", "overlap2"],
+                ["classical-vnm", "--seed", "0", "--samples", "5", "min2"]):
+            cli.main(argv)
+            assert loaded() == ["scipy.linalg._flapack"], (argv, loaded())
     """)
     src = str(Path(qdt_cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -5,6 +5,7 @@ import pytest
 
 from qdtbench.errors import TooManyMacrostates
 from qdtbench.hilbert import StateVector, Subspace
+from qdtbench.instances import haar_unitary
 from qdtbench.problem import (Macrostate, QuantumDecisionProblem, Reward,
                               born_weights, branch_decomposition,
                               event_lattice, smallest_event_ids,
@@ -155,3 +156,16 @@ def test_tiny_problem_roundtrip_helpers():
     assert p.reward_of_macrostate("m0") == "r0"
     assert p.r0_id == "r0" and p.r1_id == "r1"
     assert set(p.macrostate_ids) == {"m0", "m1"}
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_haar_unitary_matches_scipy_unitary_group_bit_for_bit(dim):
+    import scipy.stats
+    for seed in range(40):
+        mine = np.random.default_rng([seed, 424242])
+        theirs = np.random.default_rng([seed, 424242])
+        got = haar_unitary(dim, mine)
+        ref = scipy.stats.unitary_group.rvs(dim, random_state=theirs)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state
