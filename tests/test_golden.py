@@ -80,6 +80,15 @@ def cases() -> dict[str, list[str]]:
     out["sweep-grain k=3"] = ["sweep-grain", "--k", "3",
                               "--weights", "0.2,0.3,0.5", "--n", "6",
                               "--theta-list", "0.001,0.01,0.05"]
+    # series scale: the largest sizes perfbench's series workload runs
+    for cells in ("130", "387"):
+        out[f"savage cells={cells}"] = ["savage", "--cells", cells]
+    out["simulate k=2 n=8023"] = ["simulate", "--k", "2",
+                                  "--weights", "0.8,0.2",
+                                  "--n", "283,4000,8023", "--eps", "0.05"]
+    out["sweep-grain k=6 n=30"] = [
+        "sweep-grain", "--k", "6", "--weights", "0.3,0.15,0.25,0.05,0.2,0.05",
+        "--n", "30", "--theta-list", "0,2.303e-05,1.581e-09,1.260e-13"]
     return out
 
 
