@@ -12,12 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 from typing import Sequence
 
-from .errors import WeightSumError
+from .errors import SeriesTooLarge, WeightSumError
 
 WEIGHT_TOL = 1e-12
+#: refuse to grow or weigh more branching rounds than this; at k = 2 a
+#: leaf count 2^n then stays within Python's 4,300-digit int-to-str limit
+DEPTH_GUARD = 10_000
+#: refuse to grow a tree of more 64-bit words than this: C(n+k-1, k-1)
+#: nodes, each k counts and a multiplicity below k^n
+TREE_GUARD = 4_000_000
 
 
 def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -31,28 +37,10 @@ def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return ws
 
 
-def _compositions(n: int, k: int):
-    """All count vectors (c_1..c_k) of nonnegative ints summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for cuts in combinations(range(n + k - 1), k - 1):
-        out = []
-        prev = -1
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(n + k - 2 - prev)
-        yield tuple(out)
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    coef = 1
-    rest = n
-    for c in counts[:-1]:
-        coef *= math.comb(rest, c)
-        rest -= c
-    return coef
+def _check_depth(depth: int) -> None:
+    if depth > DEPTH_GUARD:
+        raise SeriesTooLarge(f"depth {depth} is above the depth guard "
+                             f"of {DEPTH_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +78,46 @@ def grow(weights: Sequence[float], depth: int) -> BranchTree:
     ws = _check_weights(weights)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    _check_depth(depth)
     k = len(ws)
-    nodes = {counts: _multinomial(depth, counts)
-             for counts in _compositions(depth, k)}
-    return BranchTree(k=k, weights=ws, depth=depth, nodes=nodes)
+    words_per_node = k + depth * math.log2(k) / 64
+    nodes = 1
+    for j in range(1, k):
+        nodes = nodes * (depth + j) // j    # C(depth + j, j), exactly
+        if nodes * words_per_node > TREE_GUARD:
+            raise SeriesTooLarge(
+                f"{k} outcomes at depth {depth} give a tree of more than "
+                f"{TREE_GUARD} words (the tree guard)")
+    tree = BranchTree(k=k, weights=ws, depth=depth, nodes={})
+    _add_count_vectors(tree.nodes, depth, k)
+    return tree
+
+
+def _add_count_vectors(nodes: dict, depth: int, k: int) -> None:
+    """Insert every count vector of k counts summing to depth, in
+    lexicographic order, at its multinomial multiplicity.
+
+    A depth-first walk over prefixes, with the open ones on a stack
+    rather than the call stack, so any k is walked.  The multinomial is
+    built as C(n, c_1) * C(n - c_1, c_2) * ..., each binomial carried
+    across c as C(r, c+1) = C(r, c) * (r - c) // (c + 1).
+    """
+    stack = [((), depth, 1)]        # prefix, what it leaves, multiplicity
+    while stack:
+        prefix, rest, mult = stack.pop()
+        free = k - len(prefix)      # counts still to choose
+        if free == 1 or rest == 0:
+            nodes[prefix + (0,) * (free - 1) + (rest,)] = mult
+            continue
+        binom = 1
+        children = []
+        for c in range(rest + 1):
+            if free == 2:           # the last count is fixed: a node
+                nodes[prefix + (c, rest - c)] = mult * binom
+            else:
+                children.append((prefix + (c,), rest - c, mult * binom))
+            binom = binom * (rest - c) // (c + 1)
+        stack += reversed(children)
 
 
 def modal_count_vector(tree: BranchTree) -> tuple[int, ...]:
@@ -120,24 +144,16 @@ def counting_frequencies(tree: BranchTree) -> tuple[float, ...]:
     return tuple(c / tree.depth for c in modal_count_vector(tree))
 
 
-def _deviating_counts(n: int, w1: float, eps: float) -> list[int]:
-    """Counts c with |c/n - w1| > eps, decided in exact rational arithmetic.
-
-    The boundary |c/n - w1| = eps is excluded; comparing Fractions of
-    the actual double values keeps the set reproducible.
-    """
-    w = Fraction(w1)
-    e = Fraction(eps)
-    return [c for c in range(n + 1) if abs(Fraction(c, n) - w) > e]
-
-
 def born_deviation_norm(weights: Sequence[float], depth: int,
                         eps: float) -> float:
     """Total squared amplitude of branches whose first-outcome frequency
     deviates from its weight by more than eps (two-outcome case).
 
-    Per-count masses combine an exact binomial coefficient with
-    log-space amplitude evaluation, then a compensated sum.
+    Per-count masses combine an exact binomial coefficient, carried
+    across c as C(n, c+1) = C(n, c) * (n-c) // (c+1), with log-space
+    amplitude evaluation, then a compensated sum.  A count c deviates
+    when |c/n - w1| > eps, decided in exact rational arithmetic on the
+    actual double values: the boundary |c/n - w1| = eps is excluded.
     """
     ws = _check_weights(weights)
     if len(ws) != 2:
@@ -146,12 +162,19 @@ def born_deviation_norm(weights: Sequence[float], depth: int,
         raise ValueError("depth must be at least 1")
     if eps < 0:
         raise ValueError("deviation threshold must be nonnegative")
+    _check_depth(depth)
     w1, w2 = ws
     lw1, lw2 = math.log(w1), math.log(w2)
+    # |c/n - w1| > eps  <=>  c < n(w1 - eps)  or  c > n(w1 + eps)
+    low = math.ceil(depth * (Fraction(w1) - Fraction(eps)))
+    high = math.floor(depth * (Fraction(w1) + Fraction(eps)))
     terms = []
-    for c in _deviating_counts(depth, w1, eps):
-        log_term = math.log(math.comb(depth, c)) + c * lw1 + (depth - c) * lw2
-        terms.append(math.exp(log_term))
+    comb = 1
+    for c in range(depth + 1):
+        if c < low or c > high:
+            log_term = math.log(comb) + c * lw1 + (depth - c) * lw2
+            terms.append(math.exp(log_term))
+        comb = comb * (depth - c) // (c + 1)
     return float(math.fsum(sorted(terms)))
 
 
@@ -167,8 +190,10 @@ def coarse_grain_count(tree: BranchTree, theta: float) -> int:
     if theta == 0.0:
         return tree.leaf_count()
     log_theta = math.log(theta)
+    # the products node_log_amp2 sums, in its order, with the logs taken once
+    log_w = [math.log(w) for w in tree.weights]
     total = 0
     for counts, mult in tree.nodes.items():
-        if tree.node_log_amp2(counts) > log_theta:
+        if sum(map(mul, counts, log_w)) > log_theta:
             total += mult
     return total

@@ -9,6 +9,7 @@ equipartition bets.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
@@ -18,6 +19,9 @@ from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
 from .preference import TIE_BAND, Comparison, bisect_indifference
 
 PROB_TOL = 1e-12
+#: refuse a Savage bracket over more cells than this; its equipartition
+#: check compares n(n-1)/2 bets
+CELLS_GUARD = 3_000
 
 
 class Lottery:
@@ -122,7 +126,7 @@ class LexicographicOracle(LotteryOracle):
 
     name = "lexicographic"
 
-    def __init__(self, priority: Sequence[str], tie: float = 1e-12):
+    def __init__(self, priority: Sequence[str], tie: float = PROB_TOL):
         if not priority:
             raise ValueError("need at least one tracked reward")
         self.priority = list(priority)
@@ -337,31 +341,64 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
 
 # -- Savage-style bets --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ClassicalAct:
-    """A map from world-state ids to payoff ids, total over the state set."""
-    payoffs: tuple[tuple[str, str], ...]
+    """A map from world-state ids to payoff ids, total over the state set.
+
+    Stored sparsely: the sorted state ids, a default payoff, and the
+    sorted (state, payoff) entries that differ from the default.  Acts
+    built over one state set can share its tuple, so a bet costs the
+    size of its event, not of the state set.  Equality is on `payoffs`.
+    """
+    states: tuple[str, ...]
+    default: str
+    entries: tuple[tuple[str, str], ...]
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ClassicalAct":
-        return cls(tuple(sorted((str(s), str(x)) for s, x in mapping.items())))
+        dense = sorted((str(s), str(x)) for s, x in mapping.items())
+        counts = Counter(x for _, x in dense)
+        default = counts.most_common(1)[0][0] if counts else ""
+        return cls(tuple(s for s, _ in dense), default,
+                   tuple(e for e in dense if e[1] != default))
 
     @classmethod
     def bet(cls, states: Iterable[str], event: Iterable[str], x: str,
             y: str) -> "ClassicalAct":
         """Pays x on the event, y elsewhere."""
         ev = set(event)
-        return cls.from_mapping({s: (x if s in ev else y) for s in states})
-
-    def payoff(self, state: str) -> str:
-        for s, x in self.payoffs:
-            if s == state:
-                return x
-        raise KeyError(state)
+        on = {str(s): s in ev for s in states}
+        return _bet(tuple(sorted(on)), [s for s, hit in on.items() if hit],
+                    str(x), str(y))
 
     @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.payoffs)
+    def payoffs(self) -> tuple[tuple[str, str], ...]:
+        """The dense (state, payoff) pairs in state order."""
+        special = dict(self.entries)
+        return tuple((s, special.get(s, self.default)) for s in self.states)
+
+    def payoff(self, state: str) -> str:
+        for s, x in self.entries:
+            if s == state:
+                return x
+        if state in self.states:
+            return self.default
+        raise KeyError(state)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassicalAct):
+            return NotImplemented
+        return self.payoffs == other.payoffs
+
+    def __hash__(self) -> int:
+        return hash(self.payoffs)
+
+
+def _bet(states: tuple[str, ...], event: Iterable[str], x: str,
+         y: str) -> ClassicalAct:
+    """x on the event, y elsewhere; states is sorted and holds the event."""
+    return ClassicalAct(states, y,
+                        () if x == y else tuple((s, x) for s in sorted(event)))
 
 
 class ActOracle(ABC):
@@ -376,20 +413,38 @@ class PlantedMeasureOracle(ActOracle):
     """Expected utility under a hidden probability measure on states."""
 
     def __init__(self, measure: Mapping[str, float],
-                 utility: Mapping[str, float], tie: float = 1e-12):
+                 utility: Mapping[str, float], tie: float = PROB_TOL):
         total = sum(measure.values())
-        if abs(total - 1.0) > TIE_BAND:
+        if not abs(total - 1.0) <= TIE_BAND:     # also rejects nan and inf
             raise WeightSumError(f"state measure sums to {total!r}")
         self.measure = dict(measure)
         self.utility = dict(utility)
         self.tie = tie
 
     def _eu(self, f: ClassicalAct) -> float:
+        """The sum over f's states, in order, of measure times utility.
+
+        Terms with utility zero are skipped: the measure is finite, so
+        each is a signed zero, which leaves a float sum unchanged.  When
+        the default payoff's utility is zero, the fold visits only the
+        entries.
+        """
+        utility, measure, entries = self.utility, self.measure, f.entries
         total = 0.0
-        for s, x in f.payoffs:
-            if x not in self.utility:
-                raise MissingUtility(f"no utility for payoff {x!r}")
-            total += self.measure.get(s, 0.0) * self.utility[x]
+        try:
+            u0 = utility[f.default] if len(entries) < len(f.states) else 0.0
+            if u0 == 0.0:
+                for s, x in entries:
+                    u = utility[x]
+                    if u:
+                        total += measure.get(s, 0.0) * u
+                return total
+            special = {s: utility[x] for s, x in entries}
+        except KeyError:
+            x = next(x for _, x in f.payoffs if x not in utility)
+            raise MissingUtility(f"no utility for payoff {x!r}") from None
+        for s in f.states:
+            total += measure.get(s, 0.0) * special.get(s, u0)
         return total
 
     def compare(self, f: ClassicalAct, g: ClassicalAct) -> Comparison:
@@ -423,21 +478,23 @@ def savage_probability(oracle: ActOracle, states: Sequence[str],
         seen |= c
     if seen != set(states):
         raise NotEquipartition("cells do not cover the state set")
-    probes = [ClassicalAct.bet(states, c, x, y) for c in cell_sets]
+    # every bet shares the one sorted state tuple and costs its event
+    ids, x, y = tuple(sorted(set(map(str, states)))), str(x), str(y)
+    probes = [_bet(ids, map(str, c), x, y) for c in cell_sets]
     for i, j in combinations(range(n), 2):
         if oracle.compare(probes[i], probes[j]) is not Comparison.TIE:
             raise NotEquipartition(
                 f"cells {i} and {j} are not ranked equally likely")
     target = ClassicalAct.bet(states, event, x, y)
-    union: set[str] = set()
+    union: list[str] = []
     m = None
     for i in range(n + 1):
-        probe = ClassicalAct.bet(states, union, x, y)
+        probe = _bet(ids, union, x, y)
         if oracle.compare(probe, target) is not Comparison.WORSE:
             m = i
             break
         if i < n:
-            union |= cell_sets[i]
+            union += map(str, cell_sets[i])
     if m is None:
         m = n
     lo = max(0, m - 1) / n if m > 0 else 0.0

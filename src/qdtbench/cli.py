@@ -25,7 +25,8 @@ from . import audit as audit_mod
 from . import classical as cls
 from .branching import born_deviation_norm, coarse_grain_count, grow
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
-                     ParseError, QdtError, SchemaError, ValidationError)
+                     ParseError, QdtError, SchemaError, SeriesTooLarge,
+                     ValidationError)
 from .io import LoadedInstance, load_instance, loads_instance
 from .preference import elicit_utility
 from .problem import QuantumDecisionProblem, validate_problem
@@ -307,6 +308,9 @@ def cmd_savage(args) -> int:
     n = args.cells
     if n < 2:
         raise UsageError("--cells must be at least 2")
+    if n > cls.CELLS_GUARD:
+        raise SeriesTooLarge(f"--cells {n} is above the cell guard of "
+                             f"{cls.CELLS_GUARD}")
     states = [f"s{i}" for i in range(n)]
     measure = {s: 1.0 / n for s in states}
     oracle = cls.PlantedMeasureOracle(measure, {"win": 1.0, "lose": 0.0})
@@ -320,8 +324,8 @@ def cmd_savage(args) -> int:
     except NotEquipartition as exc:
         raise UsageError(str(exc)) from None
     width = hi - lo
-    ok = (lo - 1e-12 <= planted <= hi + 1e-12
-          and abs(width - 1.0 / n) <= 1e-12)
+    tol = cls.PROB_TOL
+    ok = lo - tol <= planted <= hi + tol and abs(width - 1.0 / n) <= tol
     doc = {"command": "savage", "cells": n, "event_size": m_true,
            "planted": planted, "low": lo, "high": hi, "width": width,
            "ok": ok}
@@ -489,6 +493,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except QdtError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # backstop: a defect must still end in one line and exit 2
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        print(f"error: internal error at {where}: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
 
 

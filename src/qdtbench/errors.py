@@ -54,6 +54,10 @@ class CatalogTooLarge(QdtError):
     """Pair enumeration over an act catalog exceeded its cap."""
 
 
+class SeriesTooLarge(QdtError):
+    """A branching or Savage series asks for more work than its guard."""
+
+
 class WeightSumError(QdtError):
     """Branch weights must be positive and sum to one."""
 

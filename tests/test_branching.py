@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtbench.branching import (BranchTree, born_deviation_norm,
-                                coarse_grain_count, counting_frequencies,
-                                grow, modal_count_vector)
+from qdtbench.branching import (DEPTH_GUARD, TREE_GUARD, BranchTree,
+                                born_deviation_norm, coarse_grain_count,
+                                counting_frequencies, grow,
+                                modal_count_vector)
+from qdtbench.errors import SeriesTooLarge
 
 
 def exact_binomial_deviation(n: int, eps: float) -> float:
@@ -25,6 +27,33 @@ def exact_binomial_deviation(n: int, eps: float) -> float:
         if abs(Fraction(j, n) - Fraction(1, 2)) > Fraction(eps).limit_denominator(10**9):
             total += Fraction(math.comb(n, j), 2 ** n)
     return float(total)
+
+
+# Reference forms of the series kernels: per-count math.comb and
+# itertools.combinations, as the kernels computed them before they carried
+# binomials incrementally.  The kernels must match them bit for bit.
+
+def reference_deviation_norm(weights, n, eps):
+    w1, w2 = weights
+    lw1, lw2 = math.log(w1), math.log(w2)
+    w, e = Fraction(w1), Fraction(eps)
+    terms = [math.exp(math.log(math.comb(n, c)) + c * lw1 + (n - c) * lw2)
+             for c in range(n + 1) if abs(Fraction(c, n) - w) > e]
+    return float(math.fsum(sorted(terms)))
+
+
+def reference_nodes(n, k):
+    """Count vector -> multiplicity, in the kernel's dict order."""
+    nodes = {}
+    for cuts in itertools.combinations(range(n + k - 1), k - 1):
+        bounds = (-1,) + cuts + (n + k - 1,)
+        counts = tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+        mult, rest = 1, n
+        for c in counts[:-1]:
+            mult *= math.comb(rest, c)
+            rest -= c
+        nodes[counts] = mult
+    return nodes
 
 
 # -- tree structure -----------------------------------------------------------
@@ -60,6 +89,37 @@ def test_mass_conservation_random_weights(depth, seed):
                for c, mult in tree.nodes.items())
     assert mass == pytest.approx(1.0, abs=1e-9)
     assert sum(tree.nodes.values()) == k ** depth
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_grow_matches_reference_nodes_in_order(k):
+    weights = (1.0 / k,) * (k - 1) + (1.0 - (k - 1) / k,)
+    for n in range(13):
+        tree = grow(weights, n)
+        assert list(tree.nodes.items()) == list(reference_nodes(n, k).items())
+
+
+def test_grow_walks_more_outcomes_than_the_recursion_limit():
+    k = 1500
+    weights = (0.5 / (k - 1),) * (k - 1) + (0.5,)
+    tree = grow(weights, 1)
+    assert len(tree.nodes) == k and tree.leaf_count() == k
+    assert next(iter(tree.nodes)) == (0,) * (k - 1) + (1,)
+    assert list(grow(weights, 0).nodes.items()) == [((0,) * k, 1)]
+
+
+def test_grow_guards():
+    with pytest.raises(SeriesTooLarge):
+        grow((0.5, 0.5), DEPTH_GUARD + 1)
+    # k = 6 at depth 33 fits TREE_GUARD, depth 34 does not
+    w6 = (0.3, 0.15, 0.25, 0.05, 0.2, 0.05)
+    for depth, fits in ((33, True), (34, False)):
+        words = math.comb(depth + 5, 5) * (6 + depth * math.log2(6) / 64)
+        assert (words <= TREE_GUARD) is fits
+    with pytest.raises(SeriesTooLarge):
+        grow(w6, 34)
+    with pytest.raises(SeriesTooLarge):
+        born_deviation_norm((0.5, 0.5), DEPTH_GUARD + 1, 0.1)
 
 
 # -- counting measure ---------------------------------------------------------
@@ -110,6 +170,16 @@ def test_wide_tolerance_has_zero_deviation():
     assert born_deviation_norm((0.5, 0.5), 20, 0.6) == 0.0
 
 
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.2), (0.3, 0.7)])
+def test_deviation_norm_matches_reference_bit_for_bit(weights):
+    # eps 0.25 puts c/n = 1/4 and 3/4 exactly on the fair coin's boundary
+    for n in (1, 2, 4, 7, 8, 100, 1000, 3000):
+        for eps in (0.0, 0.05, 0.25):
+            got = born_deviation_norm(weights, n, eps)
+            assert repr(got) == repr(reference_deviation_norm(weights, n,
+                                                              eps))
+
+
 # -- coarse graining ----------------------------------------------------------
 
 def test_coarse_grain_matches_brute_force():
@@ -127,6 +197,24 @@ def test_coarse_grain_matches_brute_force():
             1 for path in itertools.product(range(3), repeat=depth)
             if math.prod(w[i] for i in path) > theta)
         assert coarse_grain_count(tree, theta) == brute
+
+
+def test_coarse_grain_matches_log_amplitude_brute_force():
+    for weights, depth in (((0.2, 0.3, 0.5), 6), ((0.5, 0.5), 9),
+                           ((0.3, 0.15, 0.25, 0.05, 0.2, 0.05), 5)):
+        tree = grow(weights, depth)
+        # theta 0, and theta at every node's own amplitude in both forms
+        thetas = {0.0, 1.0}
+        for counts in tree.nodes:
+            thetas.add(math.exp(tree.node_log_amp2(counts)))
+            thetas.add(math.prod(w ** c for w, c in zip(weights, counts)))
+        for theta in thetas:
+            if theta == 0.0:
+                want = tree.leaf_count()
+            else:
+                want = sum(mult for counts, mult in tree.nodes.items()
+                           if tree.node_log_amp2(counts) > math.log(theta))
+            assert coarse_grain_count(tree, theta) == want
 
 
 def test_coarse_grain_frozen_values():

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from qdtbench.classical import (ClassicalAct, LexicographicOracle, Lottery,
-                                PMEUOracle, PlantedMeasureOracle,
-                                check_vnm_axioms, expected_utility_classical,
-                                mix, savage_probability, vnm_elicit)
-from qdtbench.errors import NotEquipartition, WeightSumError
+from qdtbench.classical import (PROB_TOL, ActOracle, ClassicalAct,
+                                LexicographicOracle, Lottery, PMEUOracle,
+                                PlantedMeasureOracle, check_vnm_axioms,
+                                expected_utility_classical, mix,
+                                savage_probability, vnm_elicit)
+from qdtbench.errors import MissingUtility, NotEquipartition, WeightSumError
 from qdtbench.preference import Comparison
 
 
@@ -139,3 +140,125 @@ def test_savage_rejects_skewed_cells():
 def test_classical_act_bet_shape():
     act = ClassicalAct.bet(["s0", "s1"], ["s0"], "win", "lose")
     assert dict(act.payoffs) == {"s0": "win", "s1": "lose"}
+
+
+def test_classical_act_keeps_its_dense_view():
+    dense = {"s2": "x", "s0": "y", "s1": "x", "s10": "z"}
+    act = ClassicalAct.from_mapping(dense)
+    assert act.payoffs == tuple(sorted(dense.items()))
+    assert act.states == ("s0", "s1", "s10", "s2")
+    assert [act.payoff(s) for s in act.states] == [dense[s]
+                                                  for s in act.states]
+    with pytest.raises(KeyError):
+        act.payoff("s3")
+    bet = ClassicalAct.bet(["s1", "s0", "s2"], ["s2", "s9"], "win", "lose")
+    assert bet.payoffs == (("s0", "lose"), ("s1", "lose"), ("s2", "win"))
+    assert bet.entries == (("s2", "win"),)
+    # equality and hashing follow the dense map, not the stored form
+    same = ClassicalAct.from_mapping(dict(bet.payoffs))
+    assert same == bet and hash(same) == hash(bet)
+    assert ClassicalAct.bet(["a"], ["a"], "w", "w").payoffs == (("a", "w"),)
+    assert ClassicalAct.from_mapping({}).payoffs == ()
+
+
+# -- sparse bets against the dense fold --------------------------------------
+
+class DenseFoldOracle(ActOracle):
+    """Expected utility folded over every state in order, zero terms
+    included: the sum the sparse oracle must reproduce bit for bit."""
+
+    def __init__(self, measure, utility):
+        self.measure, self.utility = dict(measure), dict(utility)
+        self.asked = []
+
+    def eu(self, f):
+        total = 0.0
+        for s, x in f.payoffs:
+            if x not in self.utility:
+                raise MissingUtility(f"no utility for payoff {x!r}")
+            total += self.measure.get(s, 0.0) * self.utility[x]
+        return total
+
+    def compare(self, f, g):
+        d = self.eu(f) - self.eu(g)
+        self.asked.append((f.payoffs, g.payoffs, d))
+        if abs(d) <= PROB_TOL:
+            return Comparison.TIE
+        return Comparison.BETTER if d > 0 else Comparison.WORSE
+
+
+class RecordingOracle(PlantedMeasureOracle):
+    def __init__(self, measure, utility):
+        super().__init__(measure, utility)
+        self.asked = []
+
+    def compare(self, f, g):
+        self.asked.append((f.payoffs, g.payoffs, self._eu(f) - self._eu(g)))
+        return super().compare(f, g)
+
+
+def _skewed_cells(n_cells, per_cell, seed):
+    """Cells of equal mass whose states carry unequal, random masses."""
+    rng = np.random.default_rng(seed)
+    states, cells, measure = [], [], {}
+    for i in range(n_cells):
+        cell = [f"c{i}s{j}" for j in range(per_cell)]
+        for s, share in zip(cell, rng.dirichlet(np.ones(per_cell))):
+            measure[s] = float(share) / n_cells
+        states += cell
+        cells.append(cell)
+    return states, cells, measure
+
+
+@pytest.mark.parametrize("utility", [{"win": 1.0, "lose": 0.0},
+                                     {"win": 1.0, "lose": 0.25},
+                                     {"win": 0.0, "lose": -0.0}])
+def test_savage_matches_dense_fold_bit_for_bit(utility):
+    for seed in range(4):
+        states, cells, measure = _skewed_cells(9, 3, seed)
+        rng = np.random.default_rng(seed + 100)
+        event = [s for s in states if rng.uniform() < 0.3]
+        sparse = RecordingOracle(measure, utility)
+        dense = DenseFoldOracle(measure, utility)
+        got = savage_probability(sparse, states, event, cells, "win", "lose")
+        want = savage_probability(dense, states, event, cells, "win", "lose")
+        assert got == want
+        # the same questions, with the same EU gaps to the last bit
+        assert [(f, g, repr(d)) for f, g, d in sparse.asked] == \
+            [(f, g, repr(d)) for f, g, d in dense.asked]
+        for act in (ClassicalAct.bet(states, event, "win", "lose"),
+                    ClassicalAct.bet(states, states, "win", "lose"),
+                    ClassicalAct.bet(states, (), "win", "lose"),
+                    ClassicalAct.from_mapping(
+                        {s: ("win", "lose")[int(rng.integers(2))]
+                         for s in states})):
+            assert repr(sparse._eu(act)) == repr(dense.eu(act))
+
+
+def test_savage_non_zero_default_still_rejects_skewed_cells():
+    states = [f"s{i}" for i in range(4)]
+    measure = {"s0": 0.7, "s1": 0.1, "s2": 0.1, "s3": 0.1}
+    oracle = PlantedMeasureOracle(measure, {"win": 1.0, "lose": 0.25})
+    with pytest.raises(NotEquipartition):
+        savage_probability(oracle, states, ["s0"], [[s] for s in states],
+                           "win", "lose")
+
+
+def test_missing_utility_on_the_default_payoff():
+    states = ["s0", "s1", "s2"]
+    oracle = PlantedMeasureOracle({s: 1 / 3 for s in states}, {"win": 1.0})
+    with pytest.raises(MissingUtility, match="'lose'"):
+        oracle.compare(ClassicalAct.bet(states, ["s0"], "win", "lose"),
+                       ClassicalAct.bet(states, ["s1"], "win", "lose"))
+    with pytest.raises(MissingUtility, match="'lose'"):
+        savage_probability(oracle, states, ["s0"], [[s] for s in states],
+                           "win", "lose")
+    # a bet on every state never pays the default, as in the dense map
+    full = ClassicalAct.bet(states, states, "win", "lose")
+    assert oracle.compare(full, full) is Comparison.TIE
+
+
+def test_planted_measure_must_be_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(WeightSumError):
+            PlantedMeasureOracle({"s0": bad, "s1": 0.5}, {"win": 1.0})

@@ -8,6 +8,7 @@ exit-code split.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench import cli as qdt_cli
+from qdtbench.branching import DEPTH_GUARD, TREE_GUARD
+from qdtbench.classical import CELLS_GUARD
 from qdtbench.errors import ParseError, SchemaError, ValidationError
 from qdtbench.instances import FIXTURE_BUILDERS
 from qdtbench.io import dumps_instance, load_instance, loads_instance
@@ -258,9 +261,8 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# Numeric tokens for the fuzz test: legal values stay small (the series
-# commands have no cost guard yet, so a legal depth of 10^9 would run for
-# hours), illegal ones cover signs, non-finite and non-numeric text.
+# Numeric tokens for the fuzz test: legal values stay small, so the test
+# stays fast; illegal ones cover signs, non-finite and non-numeric text.
 _BAD_TOKENS = ["-1", "0", "nan", "inf", "-inf", "1e999", "abc", "", "0x10",
                "1,2", " ", "1.5", "-0.0"]
 _INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(_BAD_TOKENS))
@@ -291,15 +293,67 @@ def _cheap_argv(draw):
             draw(_INTS), "min2"]
 
 
+def _first_refused_depth(k: int) -> int:
+    """The least depth at which grow refuses k outcomes: past the depth
+    guard, or a tree of more words than the tree guard."""
+    n = 0
+    while n <= DEPTH_GUARD and (math.comb(n + k - 1, k - 1)
+                                * (k + n * math.log2(k) / 64) <= TREE_GUARD):
+        n += 1
+    return n
+
+
+_REFUSED_DEPTH = {k: _first_refused_depth(k) for k in range(2, 9)}
+_PAST = st.one_of(st.integers(1, 50), st.just(10 ** 12))
+
+
+@st.composite
+def _past_guard_argv(draw):
+    """Otherwise legal series arguments just past a cost guard."""
+    kind = draw(st.sampled_from(["simulate", "sweep-grain", "savage"]))
+    if kind == "savage":
+        return ["savage", "--cells", str(CELLS_GUARD + draw(_PAST))]
+    if kind == "simulate":
+        depths = draw(st.lists(st.integers(1, 50).map(str), max_size=2))
+        depths.insert(draw(st.integers(0, len(depths))),
+                      str(DEPTH_GUARD + draw(_PAST)))
+        return ["simulate", "--k", "2", "--weights", "0.25,0.75",
+                "--n", ",".join(depths), "--eps", "0.1"]
+    k = draw(st.sampled_from(sorted(_REFUSED_DEPTH)))
+    weights = ",".join(["0.5"] + [repr(0.5 / (k - 1))] * (k - 1))
+    depth = _REFUSED_DEPTH[k] - 1 + draw(_PAST)
+    return ["sweep-grain", "--k", str(k), "--weights", weights,
+            "--n", str(depth), "--theta-list", "0,0.001"]
+
+
 @settings(max_examples=150, deadline=None)
-@given(_cheap_argv())
-def test_cli_exit_contract_on_fuzzed_numbers(argv):
+@given(st.one_of(_cheap_argv().map(lambda argv: (argv, False)),
+                 _past_guard_argv().map(lambda argv: (argv, True))))
+def test_cli_exit_contract_on_fuzzed_numbers(case):
+    argv, past_guard = case
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = qdt_cli.main(argv)
     assert rc in (0, 1, 2), argv
     text = err.getvalue()
     assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
+    if past_guard:
+        assert rc == 2 and out.getvalue() == "", argv
+        assert text.startswith("error:") and text.count("\n") == 1, text
+
+
+def test_cli_backstop_turns_a_defect_into_one_error_line(monkeypatch,
+                                                         capsys):
+    def broken(args):
+        raise RuntimeError("kernel fault\nsecond line")
+
+    monkeypatch.setattr(qdt_cli, "cmd_savage", broken)
+    assert qdt_cli.main(["savage", "--cells", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error at ")
+    assert captured.err.count("\n") == 1
+    assert "RuntimeError" in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_commands_never_import_the_scipy_package(tmp_path):
