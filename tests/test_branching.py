@@ -29,9 +29,9 @@ def exact_binomial_deviation(n: int, eps: float) -> float:
     return float(total)
 
 
-# Reference forms of the series kernels: per-count math.comb and
-# itertools.combinations, as the kernels computed them before they carried
-# binomials incrementally.  The kernels must match them bit for bit.
+# Reference forms of the series kernels, with a math.comb per count and
+# itertools.combinations.  The kernels carry their binomials incrementally
+# and must match these bit for bit.
 
 def reference_deviation_norm(weights, n, eps):
     w1, w2 = weights
