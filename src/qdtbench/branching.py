@@ -21,9 +21,14 @@ WEIGHT_TOL = 1e-12
 #: refuse to grow or weigh more branching rounds than this; at k = 2 a
 #: leaf count 2^n then stays within Python's 4,300-digit int-to-str limit
 DEPTH_GUARD = 10_000
-#: refuse to grow a tree of more 64-bit words than this: C(n+k-1, k-1)
-#: nodes, each k counts and a multiplicity below k^n
+#: refuse to grow a tree of more 64-bit words than `tree_words` counts
 TREE_GUARD = 4_000_000
+#: refuse to weigh more branching rounds than this in one series, each
+#: depth counted with 10 more for its fixed cost
+ROUNDS_GUARD = 1_000_000
+#: refuse a threshold sweep that reads more words than this: the tree's
+#: words plus 64 for its fixed cost, once per threshold
+SWEEP_GUARD = 40_000_000
 
 
 def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -41,6 +46,39 @@ def _check_depth(depth: int) -> None:
     if depth > DEPTH_GUARD:
         raise SeriesTooLarge(f"depth {depth} is above the depth guard "
                              f"of {DEPTH_GUARD}")
+
+
+def tree_words(k: int, depth: int) -> float:
+    """64-bit words of a depth-n, k-outcome tree: C(n+k-1, k-1) nodes,
+    each k counts and a multiplicity below k^n (inf past 2^1000 nodes)."""
+    nodes = math.comb(depth + k - 1, k - 1)
+    if nodes.bit_length() > 1000:
+        return math.inf
+    return nodes * (k + depth * math.log2(k) / 64)
+
+
+def check_series_cost(depths: Sequence[int]) -> None:
+    """Refuse, before any is weighed, depths past the depth guard or
+    more rounds in all than the rounds guard."""
+    for depth in depths:
+        _check_depth(depth)
+    rounds = sum(max(depth, 0) + 10 for depth in depths)
+    if rounds > ROUNDS_GUARD:
+        raise SeriesTooLarge(f"{len(depths)} depths weigh {rounds} rounds, "
+                             f"above the rounds guard of {ROUNDS_GUARD}")
+
+
+def check_sweep_cost(k: int, depth: int, thresholds: int) -> None:
+    """Refuse, before the tree is grown, a sweep of `thresholds` passes
+    over it that reads more words than the sweep guard."""
+    _check_depth(depth)
+    if k < 1 or depth < 0:
+        return                      # grow names what is wrong
+    words = thresholds * (tree_words(k, depth) + 64)
+    if words > SWEEP_GUARD:
+        raise SeriesTooLarge(f"{thresholds} thresholds over a tree of {k} "
+                             f"outcomes at depth {depth} read more than "
+                             f"{SWEEP_GUARD} words (the sweep guard)")
 
 
 @dataclass(frozen=True)
@@ -80,14 +118,10 @@ def grow(weights: Sequence[float], depth: int) -> BranchTree:
         raise ValueError("depth must be nonnegative")
     _check_depth(depth)
     k = len(ws)
-    words_per_node = k + depth * math.log2(k) / 64
-    nodes = 1
-    for j in range(1, k):
-        nodes = nodes * (depth + j) // j    # C(depth + j, j), exactly
-        if nodes * words_per_node > TREE_GUARD:
-            raise SeriesTooLarge(
-                f"{k} outcomes at depth {depth} give a tree of more than "
-                f"{TREE_GUARD} words (the tree guard)")
+    if tree_words(k, depth) > TREE_GUARD:
+        raise SeriesTooLarge(
+            f"{k} outcomes at depth {depth} give a tree of more than "
+            f"{TREE_GUARD} words (the tree guard)")
     tree = BranchTree(k=k, weights=ws, depth=depth, nodes={})
     _add_count_vectors(tree.nodes, depth, k)
     return tree

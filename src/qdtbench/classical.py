@@ -9,7 +9,6 @@ equipartition bets.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
@@ -349,18 +348,42 @@ class ClassicalAct:
     sorted (state, payoff) entries that differ from the default.  Acts
     built over one state set can share its tuple, so a bet costs the
     size of its event, not of the state set.  Equality is on `payoffs`.
+    The constructor checks that form (ValueError otherwise);
+    `from_mapping` and `bet` build it from a dense view.
     """
     states: tuple[str, ...]
     default: str
     entries: tuple[tuple[str, str], ...]
 
+    def __post_init__(self) -> None:
+        states = self.states
+        if any(a >= b for a, b in zip(states, states[1:])):
+            raise ValueError("act states must be sorted and distinct")
+        known = set(states)
+        last = None
+        for s, x in self.entries:
+            if s not in known or x == self.default or (
+                    last is not None and s <= last):
+                raise ValueError(f"act entry {(s, x)!r} is not a sorted, "
+                                 "distinct non-default payoff of a state")
+            last = s
+
+    @classmethod
+    def _trusted(cls, states: tuple[str, ...], default: str,
+                 entries: tuple[tuple[str, str], ...]) -> "ClassicalAct":
+        """Build an act whose form the caller guarantees, unchecked."""
+        act = object.__new__(cls)
+        object.__setattr__(act, "states", states)
+        object.__setattr__(act, "default", default)
+        object.__setattr__(act, "entries", entries)
+        return act
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ClassicalAct":
         dense = sorted((str(s), str(x)) for s, x in mapping.items())
-        counts = Counter(x for _, x in dense)
-        default = counts.most_common(1)[0][0] if counts else ""
-        return cls(tuple(s for s, _ in dense), default,
-                   tuple(e for e in dense if e[1] != default))
+        default = dense[0][1] if dense else ""
+        return cls._trusted(tuple(s for s, _ in dense), default,
+                            tuple(e for e in dense if e[1] != default))
 
     @classmethod
     def bet(cls, states: Iterable[str], event: Iterable[str], x: str,
@@ -396,9 +419,10 @@ class ClassicalAct:
 
 def _bet(states: tuple[str, ...], event: Iterable[str], x: str,
          y: str) -> ClassicalAct:
-    """x on the event, y elsewhere; states is sorted and holds the event."""
-    return ClassicalAct(states, y,
-                        () if x == y else tuple((s, x) for s in sorted(event)))
+    """x on the event, y elsewhere; states is sorted and distinct and
+    holds the event, which has no repeats."""
+    return ClassicalAct._trusted(
+        states, y, () if x == y else tuple((s, x) for s in sorted(event)))
 
 
 class ActOracle(ABC):

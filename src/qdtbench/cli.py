@@ -23,7 +23,8 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import classical as cls
-from .branching import born_deviation_norm, coarse_grain_count, grow
+from .branching import (born_deviation_norm, check_series_cost,
+                        check_sweep_cost, coarse_grain_count, grow)
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
                      ParseError, QdtError, SchemaError, SeriesTooLarge,
                      ValidationError)
@@ -211,6 +212,7 @@ def cmd_simulate(args) -> int:
     if args.k != len(weights):
         raise UsageError(f"--k {args.k} does not match "
                          f"{len(weights)} weights")
+    check_series_cost(depths)
     try:
         rows = [[args.k, n, born_deviation_norm(weights, n, args.eps)]
                 for n in depths]
@@ -226,6 +228,7 @@ def cmd_sweep_grain(args) -> int:
     if args.k != len(weights):
         raise UsageError(f"--k {args.k} does not match "
                          f"{len(weights)} weights")
+    check_sweep_cost(len(weights), args.n, len(thetas))
     try:
         tree = grow(weights, args.n)
         rows = [[theta, coarse_grain_count(tree, theta)] for theta in thetas]

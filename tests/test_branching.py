@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtbench.branching import (DEPTH_GUARD, TREE_GUARD, BranchTree,
-                                born_deviation_norm, coarse_grain_count,
-                                counting_frequencies, grow,
-                                modal_count_vector)
+from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
+                                TREE_GUARD, BranchTree, born_deviation_norm,
+                                check_series_cost, check_sweep_cost,
+                                coarse_grain_count, counting_frequencies,
+                                grow, modal_count_vector, tree_words)
 from qdtbench.errors import SeriesTooLarge
 
 
@@ -113,13 +114,35 @@ def test_grow_guards():
         grow((0.5, 0.5), DEPTH_GUARD + 1)
     # k = 6 at depth 33 fits TREE_GUARD, depth 34 does not
     w6 = (0.3, 0.15, 0.25, 0.05, 0.2, 0.05)
-    for depth, fits in ((33, True), (34, False)):
-        words = math.comb(depth + 5, 5) * (6 + depth * math.log2(6) / 64)
-        assert (words <= TREE_GUARD) is fits
+    assert tree_words(6, 33) <= TREE_GUARD < tree_words(6, 34)
+    assert tree_words(6, 30) == 324_632 * (6 + 30 * math.log2(6) / 64)
+    assert tree_words(2, 10 ** 6) < math.inf == tree_words(1500, 1500)
     with pytest.raises(SeriesTooLarge):
         grow(w6, 34)
     with pytest.raises(SeriesTooLarge):
         born_deviation_norm((0.5, 0.5), DEPTH_GUARD + 1, 0.1)
+
+
+def test_series_and_sweep_guards_bound_the_whole_call():
+    # every depth is checked before any is weighed, then the rounds in all
+    with pytest.raises(SeriesTooLarge, match="depth guard"):
+        check_series_cost([5, DEPTH_GUARD + 1, -3])
+    fit = ROUNDS_GUARD // (DEPTH_GUARD + 10)
+    check_series_cost([DEPTH_GUARD] * fit)
+    with pytest.raises(SeriesTooLarge, match="rounds guard"):
+        check_series_cost([DEPTH_GUARD] * (fit + 1))
+    with pytest.raises(SeriesTooLarge, match="rounds guard"):
+        check_series_cost([1] * (ROUNDS_GUARD // 11 + 1))
+    # the series sweep (k = 6, n = 30, four thresholds) fits the sweep guard
+    check_sweep_cost(6, 30, 4)
+    passes = int(SWEEP_GUARD // (tree_words(6, 30) + 64))
+    check_sweep_cost(6, 30, passes)
+    with pytest.raises(SeriesTooLarge, match="sweep guard"):
+        check_sweep_cost(6, 30, passes + 1)
+    with pytest.raises(SeriesTooLarge, match="depth guard"):
+        check_sweep_cost(2, DEPTH_GUARD + 1, 1)
+    check_sweep_cost(2, -1, 10 ** 9)    # left to grow, which names it
+    check_sweep_cost(0, 5, 10 ** 9)
 
 
 # -- counting measure ---------------------------------------------------------

@@ -161,6 +161,21 @@ def test_classical_act_keeps_its_dense_view():
     assert ClassicalAct.from_mapping({}).payoffs == ()
 
 
+def test_classical_act_constructor_checks_the_sparse_form():
+    states = ("s0", "s1", "s2")
+    act = ClassicalAct(states, "lose", (("s0", "win"), ("s2", "win")))
+    assert act == ClassicalAct.bet(states, ["s2", "s0"], "win", "lose")
+    for bad_states, entries in (
+            (("s1", "s0"), ()),                          # unsorted states
+            (("s0", "s0", "s1"), ()),                    # repeated state
+            (states, (("s2", "win"), ("s0", "win"))),    # unsorted entries
+            (states, (("s0", "win"), ("s0", "win"))),    # repeated entry
+            (states, (("s9", "win"),)),                  # not a state
+            (states, (("s1", "lose"),))):                # the default
+        with pytest.raises(ValueError):
+            ClassicalAct(bad_states, "lose", entries)
+
+
 # -- sparse bets against the dense fold --------------------------------------
 
 class DenseFoldOracle(ActOracle):

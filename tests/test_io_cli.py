@@ -8,7 +8,6 @@ exit-code split.
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench import cli as qdt_cli
-from qdtbench.branching import DEPTH_GUARD, TREE_GUARD
+from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
+                                TREE_GUARD, tree_words)
 from qdtbench.classical import CELLS_GUARD
 from qdtbench.errors import ParseError, SchemaError, ValidationError
 from qdtbench.instances import FIXTURE_BUILDERS
@@ -258,7 +258,7 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     assert qdt_cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "internal error" not in err
 
 
 # Numeric tokens for the fuzz test: legal values stay small, so the test
@@ -297,8 +297,7 @@ def _first_refused_depth(k: int) -> int:
     """The least depth at which grow refuses k outcomes: past the depth
     guard, or a tree of more words than the tree guard."""
     n = 0
-    while n <= DEPTH_GUARD and (math.comb(n + k - 1, k - 1)
-                                * (k + n * math.log2(k) / 64) <= TREE_GUARD):
+    while n <= DEPTH_GUARD and tree_words(k, n) <= TREE_GUARD:
         n += 1
     return n
 
@@ -309,21 +308,34 @@ _PAST = st.one_of(st.integers(1, 50), st.just(10 ** 12))
 
 @st.composite
 def _past_guard_argv(draw):
-    """Otherwise legal series arguments just past a cost guard."""
-    kind = draw(st.sampled_from(["simulate", "sweep-grain", "savage"]))
+    """Otherwise legal series arguments just past a cost guard: one
+    entry too large, or legal entries too many for the whole call."""
+    kind = draw(st.sampled_from(["simulate", "simulate-list", "sweep-grain",
+                                 "sweep-list", "savage"]))
     if kind == "savage":
         return ["savage", "--cells", str(CELLS_GUARD + draw(_PAST))]
-    if kind == "simulate":
-        depths = draw(st.lists(st.integers(1, 50).map(str), max_size=2))
-        depths.insert(draw(st.integers(0, len(depths))),
-                      str(DEPTH_GUARD + draw(_PAST)))
+    if kind.startswith("simulate"):
+        if kind == "simulate":
+            depths = draw(st.lists(st.integers(1, 50), max_size=2))
+            depths.insert(draw(st.integers(0, len(depths))),
+                          DEPTH_GUARD + draw(_PAST))
+        else:
+            depth = draw(st.integers(DEPTH_GUARD // 2, DEPTH_GUARD))
+            depths = [depth] * (ROUNDS_GUARD // (depth + 10) + 1
+                                + draw(st.integers(0, 5)))
         return ["simulate", "--k", "2", "--weights", "0.25,0.75",
-                "--n", ",".join(depths), "--eps", "0.1"]
+                "--n", ",".join(map(str, depths)), "--eps", "0.1"]
     k = draw(st.sampled_from(sorted(_REFUSED_DEPTH)))
     weights = ",".join(["0.5"] + [repr(0.5 / (k - 1))] * (k - 1))
-    depth = _REFUSED_DEPTH[k] - 1 + draw(_PAST)
+    if kind == "sweep-grain":
+        depth = _REFUSED_DEPTH[k] - 1 + draw(_PAST)
+        thetas = 2
+    else:
+        depth = _REFUSED_DEPTH[k] - 1 - draw(st.integers(0, 2))
+        thetas = (int(SWEEP_GUARD // (tree_words(k, depth) + 64)) + 1
+                  + draw(st.integers(0, 5)))
     return ["sweep-grain", "--k", str(k), "--weights", weights,
-            "--n", str(depth), "--theta-list", "0,0.001"]
+            "--n", str(depth), "--theta-list", ",".join(["0.001"] * thetas)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,9 +349,11 @@ def test_cli_exit_contract_on_fuzzed_numbers(case):
     assert rc in (0, 1, 2), argv
     text = err.getvalue()
     assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
+    assert "internal error" not in text, (argv, text)
     if past_guard:
         assert rc == 2 and out.getvalue() == "", argv
         assert text.startswith("error:") and text.count("\n") == 1, text
+        assert "guard" in text, text
 
 
 def test_cli_backstop_turns_a_defect_into_one_error_line(monkeypatch,
