@@ -2,48 +2,54 @@
 
 Layers, bottom up: `hilbert` (states, subspace lattice, partial-isometry
 acts), `problem` (macrostates, rewards, instances), `forge` (act
-construction), `preference` (oracles, utilities, elicitation), `audit`
+construction), `comparison` (three-way outcomes, the tie band,
+bisection), `preference` (oracles, utilities, elicitation), `audit`
 (axiom and lemma instantiation), `branching` (iterated-branching
 series), `classical` (lottery and bet suites), `io`/`instances`/`cli`
-(fixtures and the `qdt` command).
+(fixtures and the `qdt` command).  Importing the package loads none of
+them: each public name is imported from its layer on first use.
 """
-from .errors import QdtError
-from .hilbert import (PartialIsometryAct, StateVector, Subspace, complement,
-                      join, meet, project)
-from .problem import (Macrostate, QuantumDecisionProblem, Reward,
-                      branch_decomposition, born_weights, event_lattice,
-                      reach_state, smallest_event, validate_problem)
-from .forge import ActForge, compose_acts, identity_act, restrict_act
-from .preference import (BornOracle, Comparison, CountingOracle, TableOracle,
-                         UtilityTable, elicit_utility, expected_utility,
-                         is_null_pair, make_standard_act, reduce_to_standard,
-                         reward_order)
-from .audit import (AuditReport, audit_rationality, audit_richness,
-                    check_lemmas, find_counterexample)
-from .branching import (BranchTree, born_deviation_norm, coarse_grain_count,
-                        counting_frequencies, grow, modal_count_vector)
-from .classical import (ClassicalAct, LexicographicOracle, Lottery,
-                        PMEUOracle, PlantedMeasureOracle, check_vnm_axioms,
-                        mix, savage_probability, vnm_elicit)
-from .io import LoadedInstance, load_instance, loads_instance, save_instance
-from .instances import FIXTURE_BUILDERS, random_problem
+import importlib
+
+#: public names by home module; `__getattr__` imports one on first use
+_EXPORTS = {
+    "errors": ("QdtError",),
+    "hilbert": ("PartialIsometryAct", "StateVector", "Subspace", "complement",
+                "join", "meet", "project"),
+    "problem": ("Macrostate", "QuantumDecisionProblem", "Reward",
+                "branch_decomposition", "born_weights", "event_lattice",
+                "reach_state", "smallest_event", "validate_problem"),
+    "forge": ("ActForge", "compose_acts", "identity_act", "restrict_act"),
+    "comparison": ("Comparison",),
+    "preference": ("BornOracle", "CountingOracle", "TableOracle",
+                   "UtilityTable", "elicit_utility", "expected_utility",
+                   "is_null_pair", "make_standard_act", "reduce_to_standard",
+                   "reward_order"),
+    "audit": ("AuditReport", "audit_rationality", "audit_richness",
+              "check_lemmas", "find_counterexample"),
+    "branching": ("BranchTree", "born_deviation_norm", "coarse_grain_count",
+                  "counting_frequencies", "grow", "modal_count_vector"),
+    "classical": ("ClassicalAct", "LexicographicOracle", "Lottery",
+                  "PMEUOracle", "PlantedMeasureOracle", "check_vnm_axioms",
+                  "mix", "savage_probability", "vnm_elicit"),
+    "io": ("LoadedInstance", "load_instance", "loads_instance",
+           "save_instance"),
+    "instances": ("FIXTURE_BUILDERS", "random_problem"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActForge", "AuditReport", "BornOracle", "BranchTree", "ClassicalAct",
-    "Comparison", "CountingOracle", "FIXTURE_BUILDERS", "LexicographicOracle",
-    "LoadedInstance", "Lottery", "Macrostate", "PMEUOracle",
-    "PartialIsometryAct", "PlantedMeasureOracle", "QdtError",
-    "QuantumDecisionProblem", "Reward", "StateVector", "Subspace",
-    "TableOracle", "UtilityTable", "audit_rationality", "audit_richness",
-    "born_deviation_norm", "born_weights", "branch_decomposition",
-    "check_lemmas", "check_vnm_axioms", "coarse_grain_count", "complement",
-    "compose_acts", "counting_frequencies", "elicit_utility", "event_lattice",
-    "expected_utility", "find_counterexample", "grow", "identity_act",
-    "is_null_pair", "join", "load_instance", "loads_instance",
-    "make_standard_act", "meet", "mix", "modal_count_vector", "project",
-    "random_problem", "reach_state", "reduce_to_standard", "restrict_act",
-    "reward_order", "save_instance", "savage_probability", "smallest_event",
-    "validate_problem", "vnm_elicit",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

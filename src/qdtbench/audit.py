@@ -44,6 +44,8 @@ from .problem import (QuantumDecisionProblem, branch_decomposition,
 
 #: operator-norm radii for the sampled continuity probes
 PERTURBATION_RADII = (1e-6, 1e-4, 1e-2)
+#: rounding allowance on a perturbed act's distance bound of 10 radii
+PERTURBATION_SLACK = 1e-12
 #: failures recorded per axiom before the rest are only counted
 WITNESS_CAP = 3
 #: nonzero lattice events audited: all of them up to this many, else a
@@ -51,6 +53,8 @@ WITNESS_CAP = 3
 EVENT_CAP = 64
 #: largest macrostate subset tried as a branch decomposition
 DECOMPOSITION_MAX = 4
+#: decompositions whose branch norms all agree this closely are one
+SAME_NORMS_TOL = 1e-12
 
 _CAPACITY_ERRORS = (CannotOrthogonalize, InsufficientDimension)
 # combining blocks additionally needs pairwise-orthogonal domains
@@ -519,7 +523,7 @@ def _prcont(run, t, rng):
                                         "error": repr(exc)})
                 continue
             dist = act_distance(near, act)
-            t.check(dist <= 10.0 * radius + 1e-12,
+            t.check(dist <= 10.0 * radius + PERTURBATION_SLACK,
                     lambda: {"act": act_payload(act), "radius": radius,
                              "distance": dist})
 
@@ -1353,7 +1357,8 @@ def _decompositions(p: QuantumDecisionProblem,
             if degenerate:
                 continue
             if not any(set(f) == set(norms)
-                       and max(abs(f[m] - norms[m]) for m in norms) < 1e-12
+                       and max(abs(f[m] - norms[m])
+                               for m in norms) < SAME_NORMS_TOL
                        for f in found):
                 found.append(norms)
     return found

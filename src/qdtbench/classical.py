@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
+from .comparison import TIE_BAND, Comparison, bisect_indifference
 from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
                      WeightSumError)
-from .preference import TIE_BAND, Comparison, bisect_indifference
 
 PROB_TOL = 1e-12
 #: refuse a Savage bracket over more cells than this; its equipartition

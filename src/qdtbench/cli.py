@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -19,18 +20,32 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import audit as audit_mod
 from . import classical as cls
 from .branching import (born_deviation_norm, check_series_cost,
                         check_sweep_cost, coarse_grain_count, grow)
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
                      ParseError, QdtError, SchemaError, SeriesTooLarge,
                      ValidationError)
-from .io import LoadedInstance, load_instance, loads_instance
-from .preference import elicit_utility
-from .problem import QuantumDecisionProblem, validate_problem
+
+
+def _lazy(layer: str):
+    """Register `qdtbench.<layer>` now; its body (and numpy) runs at the
+    first attribute use, so the series commands never load it."""
+    name = f"{__package__}.{layer}"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], layer, module)
+    return module
+
+
+audit_mod = _lazy("audit")
+io_mod = _lazy("io")
+preference_mod = _lazy("preference")
+problem_mod = _lazy("problem")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,9 +76,9 @@ def _resolve_instance_text(name: str) -> tuple[str, str]:
     raise UsageError(f"no such instance file or bundled fixture: {name}")
 
 
-def _load(name: str) -> tuple[str, LoadedInstance]:
+def _load(name: str) -> tuple[str, io_mod.LoadedInstance]:
     display, text = _resolve_instance_text(name)
-    return display, loads_instance(text)
+    return display, io_mod.loads_instance(text)
 
 
 def _seed_of(args) -> int:
@@ -129,7 +144,7 @@ def _print_audit(display: str, report) -> None:
 def cmd_validate(args) -> int:
     display, text = _resolve_instance_text(args.instance)
     try:
-        inst = loads_instance(text)
+        inst = io_mod.loads_instance(text)
     except ValidationError as exc:
         doc = {"command": "validate", "instance": display, "ok": False,
                "error": str(exc)}
@@ -138,7 +153,7 @@ def cmd_validate(args) -> int:
         print(f"  {exc}")
         print("RESULT fail")
         return EXIT_FAIL
-    report = validate_problem(inst.problem)
+    report = problem_mod.validate_problem(inst.problem)
     doc = {"command": "validate", "instance": display, "ok": report.ok,
            "violations": report.to_dict()["violations"]}
     _write_report(doc, args.report)
@@ -177,7 +192,7 @@ def cmd_counterexample(args) -> int:
     display, inst = _load(args.instance)
     p = inst.problem
     if args.relax == "orthmacr":
-        p = QuantumDecisionProblem(
+        p = problem_mod.QuantumDecisionProblem(
             p.dim, p.macrostates, p.rewards, orthmacr=False,
             act_generators=p.act_generators)
     oracle = inst.oracle(args.oracle)
@@ -243,7 +258,7 @@ def cmd_elicit(args) -> int:
     oracle = inst.oracle(args.oracle)
     planted = inst.utility.as_dict()
     try:
-        res = elicit_utility(inst.problem, oracle, tol=args.tol)
+        res = preference_mod.elicit_utility(inst.problem, oracle, tol=args.tol)
     except (NonMonotoneOracle, IntransitiveOracle) as exc:
         doc = {"command": "elicit", "instance": display, "ok": False,
                "error": str(exc), "tol": args.tol}
@@ -268,6 +283,8 @@ def cmd_elicit(args) -> int:
 
 
 def cmd_classical_vnm(args) -> int:
+    import numpy as np
+
     seed = _seed_of(args)
     display, inst = _load(args.instance)
     values = inst.utility.as_dict()

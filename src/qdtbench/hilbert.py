@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, OutsideDomain, ZeroState
 TOL_ORTH = 1e-9   # orthogonality, membership, subspace equality
 TOL_NORM = 1e-9   # norm preservation / norm matching
 TOL_RANK = 1e-9   # numerical rank decisions
+TOL_ZERO = 1e-12  # a state below this norm has no direction
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -75,7 +76,7 @@ class StateVector:
     def unit(self) -> "StateVector":
         """Normalized copy; raises ZeroState below numerical resolution."""
         n = self.norm
-        if n < 1e-12:
+        if n < TOL_ZERO:
             raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
         return StateVector._trusted(self.vec / n)
 

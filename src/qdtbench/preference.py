@@ -10,14 +10,14 @@ branched states, and the two null-pair tests.
 """
 from __future__ import annotations
 
-import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .comparison import TIE_BAND, Comparison, bisect_indifference
 from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
                      DomainMismatch, IntransitiveOracle, MissingUtility,
                      NonMonotoneOracle)
@@ -27,20 +27,8 @@ from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
 from .problem import (AccessibleState, QuantumDecisionProblem,
                       branch_decomposition, smallest_event, smallest_event_ids)
 
-#: expected-utility differences at or below this count as indifference
-TIE_BAND = 1e-9
 #: act pairs the definitional null test enumerates before refusing
 MAX_NULL_PAIRS = 20000
-
-
-class Comparison(enum.IntEnum):
-    """Three-way outcome of comparing a first act against a second."""
-    WORSE = -1
-    TIE = 0
-    BETTER = 1
-
-    def flipped(self) -> "Comparison":
-        return Comparison(-int(self))
 
 
 class UtilityTable:
@@ -286,31 +274,6 @@ class ElicitResult:
     table: UtilityTable
     steps: dict[str, int]
     queries: int
-
-
-def bisect_indifference(compare: Callable[[float], Comparison], tol: float,
-                        max_steps: int
-                        ) -> tuple[float, float, float | None, int]:
-    """Bisect [0, 1] for the weight t at which compare(t) ties.
-
-    compare(t) ranks the weight-t member of a family, which must improve
-    with t, against a fixed target: WORSE moves the bracket up, BETTER
-    down.  Stops at a tie, once the bracket is no wider than tol, or
-    after max_steps queries.  Returns (lo, hi, tie, steps), where tie is
-    the weight that tied, or None.
-    """
-    lo, hi, steps = 0.0, 1.0, 0
-    while hi - lo > tol and steps < max_steps:
-        mid = 0.5 * (lo + hi)
-        c = compare(mid)
-        steps += 1
-        if c is Comparison.TIE:
-            return lo, hi, mid, steps
-        if c is Comparison.WORSE:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, None, steps
 
 
 def _probe_macrostate(p: QuantumDecisionProblem) -> str:

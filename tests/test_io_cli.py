@@ -374,26 +374,32 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
     # a fresh interpreter: this pytest process has already imported scipy.
     # The pivoted QR loads scipy's compiled LAPACK wrapper by file path;
     # that extension is the one scipy module a command may leave behind.
+    # Importing the CLI, the series commands and the usage errors load
+    # neither numpy nor the quantum layers.
     script = textwrap.dedent("""
         import sys
         from qdtbench import cli
+
+        def loaded(package):
+            return sorted(m for m in sys.modules if m.split(".")[0] == package)
+
+        assert not loaded("numpy"), loaded("numpy")
+        for argv, code in (
+                (["simulate", "--k", "2", "--weights", "0.5,0.5",
+                  "--n", "10,100", "--eps", "0.1", "--out", "sim.csv"], 0),
+                (["sweep-grain", "--k", "2", "--weights", "0.5,0.5",
+                  "--n", "4", "--theta-list", "0.1", "--out", "grain.csv"], 0),
+                (["savage", "--cells", "8", "--report", "savage.json"], 0),
+                (["--help"], 0), (["frobnicate"], 2),
+                (["audit-richness", "std6"], 2),
+                (["validate", "no-such-fixture"], 2)):
+            assert cli.main(argv) == code, argv
+            assert not loaded("numpy"), (argv, loaded("numpy"))
+        assert not loaded("scipy"), loaded("scipy")
         from qdtbench.instances import random_problem
-
-        def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-        assert not loaded(), loaded()
-        for argv in (
-                ["simulate", "--k", "2", "--weights", "0.5,0.5",
-                 "--n", "10,100", "--eps", "0.1", "--out", "sim.csv"],
-                ["sweep-grain", "--k", "2", "--weights", "0.5,0.5",
-                 "--n", "4", "--theta-list", "0.1", "--out", "grain.csv"],
-                ["savage", "--cells", "8", "--report", "savage.json"],
-                ["--help"], ["frobnicate"]):
-            cli.main(argv)
-        assert not loaded(), loaded()
         random_problem(0)
-        assert set(loaded()) <= {"scipy.linalg._flapack"}, loaded()
+        assert set(loaded("scipy")) <= {"scipy.linalg._flapack"}, (
+            loaded("scipy"))
         for argv in (
                 ["validate", "std6"],
                 ["elicit", "min2"],
@@ -406,11 +412,31 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
                  "--axiom", "branch-uniqueness", "overlap2"],
                 ["classical-vnm", "--seed", "0", "--samples", "5", "min2"]):
             cli.main(argv)
-            assert loaded() == ["scipy.linalg._flapack"], (argv, loaded())
+            assert loaded("scipy") == ["scipy.linalg._flapack"], (
+                argv, loaded("scipy"))
     """)
     src = str(Path(qdt_cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {k: v for k, v in os.environ.items() if k != "QDT_SEED"}
+    env["PYTHONPATH"] = path
     res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=env, capture_output=True, timeout=300)
     assert res.returncode == 0, res.stderr.decode()
+
+
+def test_package_names_resolve_lazily_to_their_home_objects():
+    import qdtbench
+    from qdtbench import classical, preference
+    homes = {"FIXTURE_BUILDERS": "qdtbench.instances"}
+    for name in qdtbench.__all__:
+        value = getattr(qdtbench, name)
+        home = sys.modules[homes.get(name) or value.__module__]
+        assert value is getattr(home, name), name
+    namespace = {}
+    exec("from qdtbench import *", namespace)
+    assert set(qdtbench.__all__) <= set(namespace)
+    assert set(qdtbench.__all__) <= set(dir(qdtbench))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qdtbench.no_such_name
+    assert preference.Comparison is classical.Comparison
+    assert preference.TIE_BAND is classical.TIE_BAND
