@@ -11,7 +11,6 @@ them: each public name is imported from its layer on first use.
 """
 import importlib
 
-#: public names by home module; `__getattr__` imports one on first use
 _EXPORTS = {
     "errors": ("QdtError",),
     "hilbert": ("PartialIsometryAct", "StateVector", "Subspace", "complement",

@@ -28,6 +28,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .comparison import TIE_BAND, Comparison
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, IntransitiveOracle,
                      NonMonotoneOracle, TooManyMacrostates)
@@ -35,10 +36,10 @@ from .forge import ActForge, compose_acts, identity_act, restrict_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       TOL_ORTH, acts_agree_on, project)
 from .io import encode_matrix, encode_vector
-from .preference import (TIE_BAND, BornOracle, Comparison, PreferenceOracle,
-                         UtilityTable, accessible_compare, elicit_utility,
-                         expected_utility, is_null_pair, make_standard_act,
-                         reduce_to_standard, reward_order, standard_weight)
+from .preference import (BornOracle, PreferenceOracle, UtilityTable,
+                         accessible_compare, elicit_utility, expected_utility,
+                         is_null_pair, make_standard_act, reduce_to_standard,
+                         reward_order, standard_weight)
 from .problem import (QuantumDecisionProblem, branch_decomposition,
                       born_weights, reach_state, smallest_event_ids)
 

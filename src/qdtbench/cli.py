@@ -29,12 +29,14 @@ from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
 
 
 def _lazy(layer: str):
-    """Register `qdtbench.<layer>` now; its body (and numpy) runs at the
-    first attribute use, so the series commands never load it."""
+    """Register `qdtbench.<layer>` with its bytecode cached; its body runs
+    at the first attribute use, so the series commands never load it."""
     name = f"{__package__}.{layer}"
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if not sys.dont_write_bytecode and not os.path.exists(spec.cached):
+        spec.loader.get_code(name)  # writes the .pyc, as an import would
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

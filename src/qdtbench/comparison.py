@@ -1,6 +1,5 @@
-"""Three-way comparisons, the indifference band and bisection for a tie,
-shared by `preference` and `classical`; it imports neither numpy nor
-another layer, so the classical side loads without them."""
+"""Three-way comparisons, the tie band and bisection for a tie, shared by
+`preference` and `classical`; it imports no other layer and not numpy."""
 from __future__ import annotations
 
 import enum

@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
+from .comparison import Comparison
 from .forge import ActForge
 from .hilbert import PartialIsometryAct, StateVector, Subspace
 from .io import LoadedInstance, save_instance
-from .preference import Comparison, UtilityTable, make_standard_act
+from .preference import UtilityTable, make_standard_act
 from .problem import Macrostate, QuantumDecisionProblem, Reward
 
 

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .comparison import Comparison
 from .errors import (MissingUtility, ParseError, SchemaError, ValidationError)
 from .hilbert import PartialIsometryAct, Subspace
-from .preference import (BornOracle, Comparison, CountingOracle,
-                         PreferenceOracle, TableOracle, UtilityTable)
+from .preference import (BornOracle, CountingOracle, PreferenceOracle,
+                         TableOracle, UtilityTable)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
                       validate_problem)
 

@@ -20,12 +20,13 @@ from qdtbench.audit import (discriminable_support, null_probe_catalog,
                             random_state_in, random_weights)
 from qdtbench.branching import born_deviation_norm, grow, modal_count_vector
 from qdtbench import classical as cls
+from qdtbench.comparison import Comparison
 from qdtbench.errors import NormMismatch, QdtError
 from qdtbench.forge import ActForge, identity_act, restrict_act
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               complement, join, meet, orthonormalize, project)
 from qdtbench.instances import FIXTURE_BUILDERS, random_problem
-from qdtbench.preference import (BornOracle, Comparison, elicit_utility,
+from qdtbench.preference import (BornOracle, elicit_utility,
                                  expected_utility, born_compare,
                                  is_null_pair, make_standard_act,
                                  reduce_to_standard, standard_weight)

@@ -9,7 +9,7 @@ from qdtbench.classical import (PROB_TOL, ActOracle, ClassicalAct,
                                 expected_utility_classical, mix,
                                 savage_probability, vnm_elicit)
 from qdtbench.errors import MissingUtility, NotEquipartition, WeightSumError
-from qdtbench.preference import Comparison
+from qdtbench.comparison import Comparison
 
 
 def corner_lotteries(best, mid, worst):

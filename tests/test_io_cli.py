@@ -396,7 +396,10 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
             assert cli.main(argv) == code, argv
             assert not loaded("numpy"), (argv, loaded("numpy"))
         assert not loaded("scipy"), loaded("scipy")
+        from qdtbench.audit import AuditReport
         from qdtbench.instances import random_problem
+        # every layer has run now (audit imports the rest); none loads scipy
+        assert not loaded("scipy"), loaded("scipy")
         random_problem(0)
         assert set(loaded("scipy")) <= {"scipy.linalg._flapack"}, (
             loaded("scipy"))

@@ -10,15 +10,16 @@ import pytest
 
 from qdtbench import preference
 from qdtbench.audit import discriminable_support, null_probe_catalog
+from qdtbench.comparison import Comparison
 from qdtbench.errors import MissingUtility
 from qdtbench.forge import ActForge, identity_act
 from qdtbench.hilbert import StateVector
-from qdtbench.preference import (BornOracle, Comparison, CountingOracle,
-                                 TableOracle, UtilityTable, born_compare,
-                                 elicit_utility, expected_utility,
-                                 is_null_pair, is_standard_act,
-                                 make_standard_act, reduce_to_standard,
-                                 reward_order, standard_weight)
+from qdtbench.preference import (BornOracle, CountingOracle, TableOracle,
+                                 UtilityTable, born_compare, elicit_utility,
+                                 expected_utility, is_null_pair,
+                                 is_standard_act, make_standard_act,
+                                 reduce_to_standard, reward_order,
+                                 standard_weight)
 
 TOL = 1e-9
 
