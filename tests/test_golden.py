@@ -80,6 +80,24 @@ def cases() -> dict[str, list[str]]:
     out["sweep-grain k=3"] = ["sweep-grain", "--k", "3",
                               "--weights", "0.2,0.3,0.5", "--n", "6",
                               "--theta-list", "0.001,0.01,0.05"]
+    # threshold lists out of order, repeated, and with 0 and -0.0 mid-list
+    k3 = ["sweep-grain", "--k", "3", "--weights", "0.2,0.3,0.5", "--n", "6",
+          "--theta-list"]
+    out["sweep-grain k=3 unsorted"] = k3 + ["0.05,0.001,0.01,0.002"]
+    out["sweep-grain k=3 repeated"] = k3 + ["0.01,0.002,0.01,0.01"]
+    out["sweep-grain k=3 zeros mid-list"] = k3 + ["0.01,0,0.002,-0.0,0.05"]
+    # a threshold equal to a leaf amplitude does not count that leaf
+    out["sweep-grain k=2 at amplitude"] = [
+        "sweep-grain", "--k", "2", "--weights", "0.5,0.5", "--n", "4",
+        "--theta-list", "0.0625,0.0624,0.0626"]
+    out["sweep-grain k=1"] = ["sweep-grain", "--k", "1", "--weights", "1",
+                              "--n", "7", "--theta-list", "0,0.5,1,2"]
+    out["sweep-grain n=0"] = ["sweep-grain", "--k", "3",
+                              "--weights", "0.2,0.3,0.5", "--n", "0",
+                              "--theta-list", "0.5,0,1,-0.0"]
+    out["sweep-grain k=5 n=17 unsorted"] = [
+        "sweep-grain", "--k", "5", "--weights", "0.1,0.2,0.3,0.15,0.25",
+        "--n", "17", "--theta-list", "1e-12,0,1e-08,1e-12,-0.0,1e-16"]
     # series scale: the largest sizes perfbench's series workload runs
     for cells in ("130", "387"):
         out[f"savage cells={cells}"] = ["savage", "--cells", cells]
