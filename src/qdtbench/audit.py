@@ -36,10 +36,10 @@ from .forge import ActForge, compose_acts, identity_act, restrict_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       TOL_ORTH, acts_agree_on, project)
 from .io import encode_matrix, encode_vector
-from .preference import (BornOracle, PreferenceOracle, UtilityTable,
-                         accessible_compare, elicit_utility, expected_utility,
-                         is_null_pair, make_standard_act, reduce_to_standard,
-                         reward_order, standard_weight)
+from .preference import (BornOracle, DefinitionalNullTest, PreferenceOracle,
+                         UtilityTable, accessible_compare, elicit_utility,
+                         expected_utility, is_null_pair, make_standard_act,
+                         reduce_to_standard, reward_order, standard_weight)
 from .problem import (QuantumDecisionProblem, branch_decomposition,
                       born_weights, reach_state, smallest_event_ids)
 
@@ -988,10 +988,10 @@ def _solcont(run, t, rng):
     flips_large = 0
     for mac in p.macrostates:
         psi, acts = macrostate_probe_acts(p, mac)
-        strict = [(u, v) for u, v in combinations(acts, 2)
-                  if compare(psi, u, v) is Comparison.BETTER]
-        strict += [(v, u) for u, v in combinations(acts, 2)
-                   if compare(psi, u, v) is Comparison.WORSE]
+        answers = [(u, v, compare(psi, u, v))
+                   for u, v in combinations(acts, 2)]
+        strict = [(u, v) for u, v, c in answers if c is Comparison.BETTER]
+        strict += [(v, u) for u, v, c in answers if c is Comparison.WORSE]
         for u, v in strict[:run.n_light]:
             for radius in PERTURBATION_RADII:
                 u2 = perturb_act(u, radius, rng)
@@ -1063,11 +1063,11 @@ def _nullity(run, t, rng):
         t.skip("no support subset leaves probe room that moves utility")
     for support in supports:
         phi = _state_with_support(p, support, rng)
-        catalog = null_probe_catalog(p, support)
+        definitional = DefinitionalNullTest(
+            phi, null_probe_catalog(p, support), run.oracle)
         for ids, event in events:
             a = is_null_pair(p, event, phi, method="criterion")
-            b = is_null_pair(p, event, phi, method="definitional",
-                             catalog=catalog, oracle=run.oracle)
+            b = definitional.is_null(event)
             t.check(a == b,
                     lambda: {"event": list(ids), "support": list(support),
                              "criterion": a, "definitional": b,

@@ -2,6 +2,8 @@
 
 A depth-n, k-outcome branching process has k^n leaves; we aggregate them
 by outcome-count vector, which keeps the representation polynomial in n.
+`grow` stores the count vectors; the coarse-grained sweep walks them
+once and stores none.
 Multiplicities are exact big integers; per-leaf squared amplitudes are
 products of the branch weights.  Masses (multiplicity x squared
 amplitude) are evaluated in log space when the direct product would
@@ -10,6 +12,7 @@ underflow, keeping normalization sums good to far better than 1e-12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -21,13 +24,16 @@ WEIGHT_TOL = 1e-12
 #: refuse to grow or weigh more branching rounds than this; at k = 2 a
 #: leaf count 2^n then stays within Python's 4,300-digit int-to-str limit
 DEPTH_GUARD = 10_000
-#: refuse to grow a tree of more 64-bit words than `tree_words` counts
+#: refuse to grow a tree of more 64-bit words than `tree_words` counts;
+#: the sweep stores no tree, but its walk keeps this bound so that what
+#: it refuses does not change
 TREE_GUARD = 4_000_000
 #: refuse to weigh more branching rounds than this in one series, each
 #: depth counted with 10 more for its fixed cost
 ROUNDS_GUARD = 1_000_000
 #: refuse a threshold sweep that reads more words than this: the tree's
-#: words plus 64 for its fixed cost, once per threshold
+#: words plus 64 for its fixed cost, once per threshold (the one-pass
+#: sweep reads fewer; the bound is kept so that refusals do not change)
 SWEEP_GUARD = 40_000_000
 
 
@@ -69,8 +75,9 @@ def check_series_cost(depths: Sequence[int]) -> None:
 
 
 def check_sweep_cost(k: int, depth: int, thresholds: int) -> None:
-    """Refuse, before the tree is grown, a sweep of `thresholds` passes
-    over it that reads more words than the sweep guard."""
+    """Refuse, before the walk, a sweep of `thresholds` thresholds that
+    reads more words than the sweep guard, counted as one pass over the
+    tree per threshold."""
     _check_depth(depth)
     if k < 1 or depth < 0:
         return                      # grow names what is wrong
@@ -111,8 +118,9 @@ class BranchTree:
         return sum(self.nodes.values())
 
 
-def grow(weights: Sequence[float], depth: int) -> BranchTree:
-    """Branch `depth` times with the given per-outcome weights."""
+def _check_tree(weights: Sequence[float], depth: int) -> tuple[float, ...]:
+    """The checked weights of a depth-n tree that the tree guard admits;
+    the tree need not be stored, so the guard bounds the walk."""
     ws = _check_weights(weights)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -122,34 +130,45 @@ def grow(weights: Sequence[float], depth: int) -> BranchTree:
         raise SeriesTooLarge(
             f"{k} outcomes at depth {depth} give a tree of more than "
             f"{TREE_GUARD} words (the tree guard)")
-    tree = BranchTree(k=k, weights=ws, depth=depth, nodes={})
-    _add_count_vectors(tree.nodes, depth, k)
-    return tree
+    return ws
 
 
-def _add_count_vectors(nodes: dict, depth: int, k: int) -> None:
-    """Insert every count vector of k counts summing to depth, in
-    lexicographic order, at its multinomial multiplicity.
+def grow(weights: Sequence[float], depth: int) -> BranchTree:
+    """Branch `depth` times with the given per-outcome weights."""
+    ws = _check_tree(weights, depth)
+    k = len(ws)
+    nodes = {(depth,): 1} if k == 1 else {}
+    for prefix, rest, mult in _count_rows(depth, k):
+        binom = 1
+        for c in range(rest + 1):
+            nodes[prefix + (c, rest - c)] = mult * binom
+            binom = binom * (rest - c) // (c + 1)
+    return BranchTree(k=k, weights=ws, depth=depth, nodes=nodes)
+
+
+def _count_rows(depth: int, k: int):
+    """Yield the count vectors of k >= 2 counts summing to depth, in
+    lexicographic order, a row at a time: (prefix, rest, mult) stands
+    for the vectors prefix + (c, rest - c), c = 0..rest, each at
+    multiplicity mult * C(rest, c).  (k = 1 has the one vector (depth,).)
 
     A depth-first walk over prefixes, with the open ones on a stack
     rather than the call stack, so any k is walked.  The multinomial is
     built as C(n, c_1) * C(n - c_1, c_2) * ..., each binomial carried
-    across c as C(r, c+1) = C(r, c) * (r - c) // (c + 1).
+    across c as C(r, c+1) = C(r, c) * (r - c) // (c + 1); consumers
+    carry the row's last binomial the same way.
     """
-    stack = [((), depth, 1)]        # prefix, what it leaves, multiplicity
+    stack = [((), depth, 1)] if k > 1 else []
     while stack:
         prefix, rest, mult = stack.pop()
         free = k - len(prefix)      # counts still to choose
-        if free == 1 or rest == 0:
-            nodes[prefix + (0,) * (free - 1) + (rest,)] = mult
+        if free == 2 or rest == 0:
+            yield prefix + (0,) * (free - 2), rest, mult
             continue
         binom = 1
         children = []
         for c in range(rest + 1):
-            if free == 2:           # the last count is fixed: a node
-                nodes[prefix + (c, rest - c)] = mult * binom
-            else:
-                children.append((prefix + (c,), rest - c, mult * binom))
+            children.append((prefix + (c,), rest - c, mult * binom))
             binom = binom * (rest - c) // (c + 1)
         stack += reversed(children)
 
@@ -212,22 +231,42 @@ def born_deviation_norm(weights: Sequence[float], depth: int,
     return float(math.fsum(sorted(terms)))
 
 
-def coarse_grain_count(tree: BranchTree, theta: float) -> int:
-    """Number of leaves whose squared amplitude exceeds theta.
+def coarse_grain_count(weights: Sequence[float], depth: int,
+                       thetas: Sequence[float]) -> list[int]:
+    """Number of leaves of the depth-n tree whose squared amplitude
+    exceeds each threshold, in the order given.
 
-    theta = 0 counts every leaf (k^depth of them); the count collapses
-    as theta crosses the amplitude scales, which is the instability this
-    diagnostic is meant to exhibit.
+    One pass over the count vectors, none stored: each vector's log
+    amplitude is taken once, as `BranchTree.node_log_amp2` sums it, and
+    set against every threshold.  theta = 0 counts every leaf (k^depth
+    of them); the count collapses as theta crosses the amplitude scales,
+    which is the instability this diagnostic is meant to exhibit.
+    The tree guard still applies, so what is refused does not change.
     """
-    if theta < 0:
+    ws = _check_tree(weights, depth)
+    if any(theta < 0 for theta in thetas):
         raise ValueError("grain threshold must be nonnegative")
-    if theta == 0.0:
-        return tree.leaf_count()
-    log_theta = math.log(theta)
-    # the products node_log_amp2 sums, in its order, with the logs taken once
-    log_w = [math.log(w) for w in tree.weights]
+    k = len(ws)
+    # distinct log thresholds, ascending: a vector of log amplitude a
+    # counts for the first bisect_left(cuts, a) of them
+    cuts = sorted({math.log(theta) for theta in thetas if theta != 0.0})
+    above = [0] * (len(cuts) + 1)   # leaves by how many cuts they pass
+    if cuts:
+        # the products node_log_amp2 sums, in its order, with the logs
+        # taken once
+        log_w = [math.log(w) for w in ws]
+        if k == 1:
+            above[bisect_left(cuts, sum(map(mul, (depth,), log_w)))] = 1
+        for prefix, rest, mult in _count_rows(depth, k):
+            binom = 1
+            for c in range(rest + 1):
+                log_amp = sum(map(mul, prefix + (c, rest - c), log_w))
+                above[bisect_left(cuts, log_amp)] += mult * binom
+                binom = binom * (rest - c) // (c + 1)
+    passed = {}                     # log threshold -> leaves above it
     total = 0
-    for counts, mult in tree.nodes.items():
-        if sum(map(mul, counts, log_w)) > log_theta:
-            total += mult
-    return total
+    for cut, leaves in zip(reversed(cuts), reversed(above)):
+        total += leaves
+        passed[cut] = total
+    return [k ** depth if theta == 0.0 else passed[math.log(theta)]
+            for theta in thetas]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import classical as cls
 from .branching import (born_deviation_norm, check_series_cost,
-                        check_sweep_cost, coarse_grain_count, grow)
+                        check_sweep_cost, coarse_grain_count)
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
                      ParseError, QdtError, SchemaError, SeriesTooLarge,
                      ValidationError)
@@ -247,11 +247,11 @@ def cmd_sweep_grain(args) -> int:
                          f"{len(weights)} weights")
     check_sweep_cost(len(weights), args.n, len(thetas))
     try:
-        tree = grow(weights, args.n)
-        rows = [[theta, coarse_grain_count(tree, theta)] for theta in thetas]
+        counts = coarse_grain_count(weights, args.n, thetas)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_csv(["theta", "count"], rows, args.out)
+    _write_csv(["theta", "count"], [list(row) for row in zip(thetas, counts)],
+               args.out)
     return EXIT_OK
 
 

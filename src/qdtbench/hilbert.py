@@ -400,7 +400,14 @@ def acts_equal(u: PartialIsometryAct, v: PartialIsometryAct,
 def acts_agree_on(u: PartialIsometryAct, v: PartialIsometryAct,
                   sub: Subspace, tol: float = TOL_ORTH) -> bool:
     """Whether u and v act identically on a common subspace of their domains."""
+    return sub.is_zero or vanishes_on(u.as_operator() - v.as_operator(), sub,
+                                      tol)
+
+
+def vanishes_on(op: np.ndarray, sub: Subspace, tol: float = TOL_ORTH) -> bool:
+    """Whether the ambient operator sends each basis vector of sub to
+    within tol of zero; for the difference of two acts, whether they
+    agree on sub."""
     if sub.is_zero:
         return True
-    diff = (u.as_operator() - v.as_operator()) @ sub.basis
-    return bool(np.max(np.linalg.norm(diff, axis=0)) <= tol)
+    return bool(np.max(np.linalg.norm(op @ sub.basis, axis=0)) <= tol)

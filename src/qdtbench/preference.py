@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -23,7 +24,7 @@ from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
                      NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
-                      acts_agree_on, complement, meet, project)
+                      complement, meet, project, vanishes_on)
 from .problem import (AccessibleState, QuantumDecisionProblem,
                       branch_decomposition, smallest_event, smallest_event_ids)
 
@@ -438,22 +439,54 @@ def is_null_pair(p: QuantumDecisionProblem, event: Subspace, phi: StateVector,
         raise ValueError(f"unknown null-pair method {method!r}")
     if catalog is None or oracle is None:
         raise ValueError("definitional method needs a catalog and an oracle")
-    unit = phi.unit()
-    usable = [a for a in catalog if a.domain.contains(unit)]
-    pairs = [(u, v) for u, v in combinations(usable, 2)
-             if u.domain.equals(v.domain)]
-    if len(pairs) > MAX_NULL_PAIRS:
-        raise CatalogTooLarge(
-            f"{len(pairs)} act pairs exceed the cap of {MAX_NULL_PAIRS}")
-    # keyed by domain object, not projector equality, so each value is
-    # exactly the meet the pair itself would compute
-    outside_of: dict[int, Subspace] = {}
-    for u, v in pairs:
-        key = id(u.domain)
-        if key not in outside_of:
-            outside_of[key] = meet(complement(event), u.domain)
-        if not acts_agree_on(u, v, outside_of[key]):
-            continue
-        if oracle.compare(phi, u, v) is not Comparison.TIE:
-            return False
-    return True
+    return DefinitionalNullTest(phi, catalog, oracle).is_null(event)
+
+
+class DefinitionalNullTest:
+    """The definitional null test at one state over one catalog: an
+    event is null when no pair of catalog acts that agree outside it is
+    ranked strictly by the oracle at phi.
+
+    The usable acts, their same-domain pairs and the pair cap depend
+    only on (phi, catalog), so they are worked out once, at the first
+    event asked about; each pair's operator difference and oracle answer
+    are worked out at their first use and kept for later events.
+    """
+
+    def __init__(self, phi: StateVector,
+                 catalog: Sequence[PartialIsometryAct],
+                 oracle: PreferenceOracle):
+        self.phi, self.catalog, self.oracle = phi, catalog, oracle
+        self._diffs: dict[int, np.ndarray] = {}
+        self._answers: dict[int, Comparison] = {}
+
+    @cached_property
+    def _pairs(self) -> list[tuple[PartialIsometryAct, PartialIsometryAct]]:
+        unit = self.phi.unit()
+        usable = [a for a in self.catalog if a.domain.contains(unit)]
+        pairs = [(u, v) for u, v in combinations(usable, 2)
+                 if u.domain.equals(v.domain)]
+        if len(pairs) > MAX_NULL_PAIRS:
+            raise CatalogTooLarge(
+                f"{len(pairs)} act pairs exceed the cap of {MAX_NULL_PAIRS}")
+        return pairs
+
+    def is_null(self, event: Subspace) -> bool:
+        # keyed by domain object, not projector equality, so each value
+        # is exactly the meet the pair itself would compute
+        outside_of: dict[int, Subspace] = {}
+        for i, (u, v) in enumerate(self._pairs):
+            key = id(u.domain)
+            if key not in outside_of:
+                outside_of[key] = meet(complement(event), u.domain)
+            outside = outside_of[key]
+            if not outside.is_zero:
+                if i not in self._diffs:
+                    self._diffs[i] = u.as_operator() - v.as_operator()
+                if not vanishes_on(self._diffs[i], outside):
+                    continue
+            if i not in self._answers:
+                self._answers[i] = self.oracle.compare(self.phi, u, v)
+            if self._answers[i] is not Comparison.TIE:
+                return False
+        return True

@@ -7,6 +7,8 @@ cannot cancel out against itself.
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
                                 check_series_cost, check_sweep_cost,
                                 coarse_grain_count, counting_frequencies,
                                 grow, modal_count_vector, tree_words)
-from qdtbench.errors import SeriesTooLarge
+from qdtbench.errors import SeriesTooLarge, WeightSumError
 
 
 def exact_binomial_deviation(n: int, eps: float) -> float:
@@ -205,6 +207,17 @@ def test_deviation_norm_matches_reference_bit_for_bit(weights):
 
 # -- coarse graining ----------------------------------------------------------
 
+def reference_grain_counts(tree, thetas):
+    """Leaves above each theta: per theta, a brute-force pass over the
+    stored nodes' log amplitudes, as the tree-based sweep counted them."""
+    import numpy as np
+    log_amps = np.array([tree.node_log_amp2(c) for c in tree.nodes])
+    mults = np.array(list(tree.nodes.values()), dtype=object)
+    return [tree.leaf_count() if theta == 0.0
+            else int(mults[log_amps > math.log(theta)].sum())
+            for theta in thetas]
+
+
 def test_coarse_grain_matches_brute_force():
     # thresholds sit midway between adjacent product values, away from
     # any exact-equality boundary where float ordering could differ
@@ -215,11 +228,10 @@ def test_coarse_grain_matches_brute_force():
                        for c in tree.nodes})
     thetas = [0.5 * (a + b) for a, b in zip(products, products[1:])]
     thetas += [products[0] / 2, products[-1] * 2]
-    for theta in thetas:
-        brute = sum(
-            1 for path in itertools.product(range(3), repeat=depth)
-            if math.prod(w[i] for i in path) > theta)
-        assert coarse_grain_count(tree, theta) == brute
+    brute = [sum(1 for path in itertools.product(range(3), repeat=depth)
+                 if math.prod(w[i] for i in path) > theta)
+             for theta in thetas]
+    assert coarse_grain_count(w, depth, thetas) == brute
 
 
 def test_coarse_grain_matches_log_amplitude_brute_force():
@@ -231,17 +243,63 @@ def test_coarse_grain_matches_log_amplitude_brute_force():
         for counts in tree.nodes:
             thetas.add(math.exp(tree.node_log_amp2(counts)))
             thetas.add(math.prod(w ** c for w, c in zip(weights, counts)))
-        for theta in thetas:
-            if theta == 0.0:
-                want = tree.leaf_count()
-            else:
-                want = sum(mult for counts, mult in tree.nodes.items()
-                           if tree.node_log_amp2(counts) > math.log(theta))
-            assert coarse_grain_count(tree, theta) == want
+        thetas = sorted(thetas)
+        assert (coarse_grain_count(weights, depth, thetas)
+                == reference_grain_counts(tree, thetas))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_coarse_grain_one_pass_matches_per_threshold_reference(k):
+    # unequal weights, so the amplitudes take many values; every node's
+    # amplitude is a threshold, shuffled, with repeats, 0 and -0.0
+    raw = [1.0 + j for j in range(k)]
+    weights = tuple(x / sum(raw) for x in raw)
+    rng = random.Random(k)
+    for n in range(13):
+        tree = grow(weights, n)
+        amps = sorted({math.exp(tree.node_log_amp2(c)) for c in tree.nodes}
+                      | {1.0})
+        thetas = amps + rng.sample(amps, min(3, len(amps)))
+        thetas += [0.0, -0.0, 0.0]
+        rng.shuffle(thetas)
+        assert (coarse_grain_count(weights, n, thetas)
+                == reference_grain_counts(tree, thetas)), (k, n)
 
 
 def test_coarse_grain_frozen_values():
-    tree = grow((0.2, 0.3, 0.5), 6)
-    assert coarse_grain_count(tree, 0.002) == 168
-    assert coarse_grain_count(tree, 0.012) == 1
-    assert coarse_grain_count(tree, 0.1) == 0
+    w = (0.2, 0.3, 0.5)
+    assert coarse_grain_count(w, 6, [0.002, 0.012, 0.1]) == [168, 1, 0]
+    assert coarse_grain_count(w, 6, [0.1, 0.0, 0.002, -0.0]) == [0, 729,
+                                                                  168, 729]
+    assert coarse_grain_count(w, 6, []) == []
+    assert coarse_grain_count((1.0,), 7, [0.0, 0.5, 1.0]) == [1, 1, 0]
+    assert coarse_grain_count(w, 0, [0.5, 1.0, 0.0]) == [1, 0, 1]
+
+
+def test_coarse_grain_keeps_the_refusals_of_grow():
+    w6 = (0.3, 0.15, 0.25, 0.05, 0.2, 0.05)
+    with pytest.raises(SeriesTooLarge, match="tree guard"):
+        coarse_grain_count(w6, 34, [0.1])
+    with pytest.raises(SeriesTooLarge, match="depth guard"):
+        coarse_grain_count((0.5, 0.5), DEPTH_GUARD + 1, [-1.0])
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        coarse_grain_count((0.5, 0.5), -1, [-1.0])
+    with pytest.raises(WeightSumError):
+        coarse_grain_count((0.5, 0.6), 4, [-1.0])
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        coarse_grain_count((0.5, 0.5), 4, [0.1, -1.0])
+
+
+def test_coarse_grain_sweep_never_holds_the_tree():
+    # at k = 6, n = 30 the stored tree is 324,632 count vectors, some
+    # 30 MB of tuples and big ints; the sweep keeps only its walk stack
+    w6 = (0.3, 0.15, 0.25, 0.05, 0.2, 0.05)
+    tracemalloc.start()
+    try:
+        counts = coarse_grain_count(w6, 30, [0.0, 1e-22, 1e-25, 1e-28])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [6 ** 30, 1140394687581654539701,
+                      52761492406550800401952, 186647157187783324357764]
+    assert peak < 1_000_000, peak

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtbench import branching
 from qdtbench import cli as qdt_cli
 from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
                                 TREE_GUARD, tree_words)
@@ -203,6 +204,41 @@ def test_cli_simulate_csv_contract():
     devs = [float(r[2]) for r in rows]
     assert abs(devs[0] - 0.34375) < 1e-12
     assert devs[0] > devs[1] > devs[2]
+
+
+_W6 = "0.3,0.15,0.25,0.05,0.2,0.05"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--k", "6", "--weights", _W6, "--n", "33", "--theta-list", "0.1,-1"],
+     "grain threshold must be nonnegative"),
+    (["--k", "2", "--weights", "0.5,0.5", "--n", "3",
+      "--theta-list=-0.0,-1e-300"], "grain threshold must be nonnegative"),
+    # weight, depth and guard errors still win over a negative threshold
+    (["--k", "2", "--weights", "0.5,0.6", "--n", "4", "--theta-list=-1"],
+     "branch weights sum to 1.1, not 1"),
+    (["--k", "2", "--weights", "0.5,0.5", "--n", "-1",
+      "--theta-list", "0.1,-1"], "depth must be nonnegative"),
+    (["--k", "6", "--weights", _W6, "--n", "34", "--theta-list=-1"],
+     "6 outcomes at depth 34 give a tree of more than 4000000 words "
+     "(the tree guard)"),
+    (["--k", "2", "--weights", "0.5,0.5", "--n", str(DEPTH_GUARD + 1),
+      "--theta-list=-1"],
+     f"depth {DEPTH_GUARD + 1} is above the depth guard of {DEPTH_GUARD}"),
+    (["--k", "6", "--weights", _W6, "--n", "30",
+      "--theta-list=" + ",".join(["-1"] + ["0.1"] * 130)],
+     "131 thresholds over a tree of 6 outcomes at depth 30 read more than "
+     "40000000 words (the sweep guard)"),
+])
+def test_cli_sweep_refuses_before_the_walk(args, message, monkeypatch,
+                                           capsys):
+    def walk(*_):
+        raise AssertionError("the count vectors were walked")
+
+    monkeypatch.setattr(branching, "_count_rows", walk)
+    assert qdt_cli.main(["sweep-grain"] + args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_cli_elicit_recovers_planted_value():

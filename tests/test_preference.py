@@ -8,13 +8,17 @@ code computing both sides.
 import numpy as np
 import pytest
 
-from qdtbench import preference
-from qdtbench.audit import discriminable_support, null_probe_catalog
+from collections import Counter
+
+from qdtbench import audit, preference
+from qdtbench.audit import (LEMMAS, check_lemmas, discriminable_support,
+                            find_counterexample, null_probe_catalog)
 from qdtbench.comparison import Comparison
 from qdtbench.errors import MissingUtility
 from qdtbench.forge import ActForge, identity_act
 from qdtbench.hilbert import StateVector
-from qdtbench.preference import (BornOracle, CountingOracle, TableOracle,
+from qdtbench.preference import (BornOracle, CountingOracle,
+                                 DefinitionalNullTest, TableOracle,
                                  UtilityTable, born_compare, elicit_utility,
                                  expected_utility, is_null_pair,
                                  is_standard_act, make_standard_act,
@@ -205,6 +209,62 @@ def test_definitional_null_test_meets_once(std6, ids, monkeypatch):
                  method="definitional", catalog=catalog,
                  oracle=BornOracle(p, std6.utility))
     assert len(calls) <= 1
+
+
+class _RecordingOracle(BornOracle):
+    """The Born order, counting each (state, act, act) question; an act
+    is keyed by identity and operator, so a reused id is a new act."""
+
+    def __init__(self, p, util):
+        super().__init__(p, util)
+        self.asked = Counter()
+
+    def compare(self, psi, u, v):
+        self.asked[(psi.vec.tobytes(), id(u), u.as_operator().tobytes(),
+                    id(v), v.as_operator().tobytes())] += 1
+        return super().compare(psi, u, v)
+
+
+def test_nullity_asks_each_state_pair_once(std8):
+    # the definitional test runs at each state for up to 64 events; an
+    # act pair's answer at a state is asked for once and kept
+    p, util = std8.problem, std8.utility
+    oracle = _RecordingOracle(p, util)
+    probes = []
+    real_catalog = audit.null_probe_catalog
+
+    def recorded_catalog(*args):
+        acts = real_catalog(*args)
+        probes.extend(a.as_operator().tobytes() for a in acts)
+        return acts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "null_probe_catalog", recorded_catalog)
+        report = check_lemmas(p, oracle, util, samples=100, seed=0)
+    assert report.results[LEMMAS.index("Nullity")].status == "pass"
+    asked = {key: n for key, n in oracle.asked.items()
+             if key[2] in probes and key[4] in probes}
+    assert asked and max(asked.values()) == 1
+
+
+def test_solcont_asks_each_probe_pair_once(std6):
+    p, util = std6.problem, std6.utility
+    oracle = _RecordingOracle(p, util)
+    assert find_counterexample(p, oracle, "SolCont", seed=0) is None
+    assert oracle.asked and max(oracle.asked.values()) == 1
+
+
+def test_definitional_null_test_matches_per_event_calls(std6):
+    p, util = std6.problem, std6.utility
+    oracle = BornOracle(p, util)
+    phi = StateVector(np.full(6, 1 / np.sqrt(6), dtype=complex))
+    catalog = null_probe_catalog(p, ("m0", "m4"))
+    test = DefinitionalNullTest(phi, catalog, oracle)
+    for ids in ((), ("m0",), ("m4",), ("m1",), ("m0", "m4"), ("m0",)):
+        event = p.event_of(list(ids))
+        assert test.is_null(event) == is_null_pair(
+            p, event, phi, method="definitional", catalog=catalog,
+            oracle=oracle), ids
 
 
 def test_event_of_is_cached_by_id_tuple(std6):
