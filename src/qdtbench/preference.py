@@ -447,21 +447,21 @@ class DefinitionalNullTest:
     event is null when no pair of catalog acts that agree outside it is
     ranked strictly by the oracle at phi.
 
-    The usable acts, their same-domain pairs and the pair cap depend
-    only on (phi, catalog), so they are worked out once, at the first
-    event asked about; each pair's operator difference and oracle answer
-    are worked out at their first use and kept for later events.
+    The usable acts, their same-domain pairs with their operator
+    differences, and the pair cap depend only on (phi, catalog), so they
+    are worked out once, at the first event asked about; each pair's
+    oracle answer is asked for at its first use and kept.
     """
 
     def __init__(self, phi: StateVector,
                  catalog: Sequence[PartialIsometryAct],
                  oracle: PreferenceOracle):
         self.phi, self.catalog, self.oracle = phi, catalog, oracle
-        self._diffs: dict[int, np.ndarray] = {}
         self._answers: dict[int, Comparison] = {}
 
     @cached_property
-    def _pairs(self) -> list[tuple[PartialIsometryAct, PartialIsometryAct]]:
+    def _pairs(self) -> list[tuple[PartialIsometryAct, PartialIsometryAct,
+                                   np.ndarray]]:
         unit = self.phi.unit()
         usable = [a for a in self.catalog if a.domain.contains(unit)]
         pairs = [(u, v) for u, v in combinations(usable, 2)
@@ -469,22 +469,18 @@ class DefinitionalNullTest:
         if len(pairs) > MAX_NULL_PAIRS:
             raise CatalogTooLarge(
                 f"{len(pairs)} act pairs exceed the cap of {MAX_NULL_PAIRS}")
-        return pairs
+        return [(u, v, u.as_operator() - v.as_operator()) for u, v in pairs]
 
     def is_null(self, event: Subspace) -> bool:
         # keyed by domain object, not projector equality, so each value
         # is exactly the meet the pair itself would compute
         outside_of: dict[int, Subspace] = {}
-        for i, (u, v) in enumerate(self._pairs):
+        for i, (u, v, diff) in enumerate(self._pairs):
             key = id(u.domain)
             if key not in outside_of:
                 outside_of[key] = meet(complement(event), u.domain)
-            outside = outside_of[key]
-            if not outside.is_zero:
-                if i not in self._diffs:
-                    self._diffs[i] = u.as_operator() - v.as_operator()
-                if not vanishes_on(self._diffs[i], outside):
-                    continue
+            if not vanishes_on(diff, outside_of[key]):
+                continue
             if i not in self._answers:
                 self._answers[i] = self.oracle.compare(self.phi, u, v)
             if self._answers[i] is not Comparison.TIE:
