@@ -5,10 +5,10 @@ regression in expected-utility bookkeeping cannot hide behind the same
 code computing both sides.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
-
-from collections import Counter
 
 from qdtbench import audit, preference
 from qdtbench.audit import (LEMMAS, check_lemmas, discriminable_support,
@@ -225,7 +225,7 @@ class _RecordingOracle(BornOracle):
         return super().compare(psi, u, v)
 
 
-def test_nullity_asks_each_state_pair_once(std8):
+def test_nullity_asks_each_state_pair_once(std8, monkeypatch):
     # the definitional test runs at each state for up to 64 events; an
     # act pair's answer at a state is asked for once and kept
     p, util = std8.problem, std8.utility
@@ -238,9 +238,8 @@ def test_nullity_asks_each_state_pair_once(std8):
         probes.extend(a.as_operator().tobytes() for a in acts)
         return acts
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(audit, "null_probe_catalog", recorded_catalog)
-        report = check_lemmas(p, oracle, util, samples=100, seed=0)
+    monkeypatch.setattr(audit, "null_probe_catalog", recorded_catalog)
+    report = check_lemmas(p, oracle, util, samples=100, seed=0)
     assert report.results[LEMMAS.index("Nullity")].status == "pass"
     asked = {key: n for key, n in oracle.asked.items()
              if key[2] in probes and key[4] in probes}
