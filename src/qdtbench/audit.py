@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .comparison import TIE_BAND, Comparison
+from .comparison import ELICIT_TOL, TIE_BAND, Comparison
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, IntransitiveOracle,
                      NonMonotoneOracle, TooManyMacrostates)
@@ -56,6 +56,12 @@ EVENT_CAP = 64
 DECOMPOSITION_MAX = 4
 #: decompositions whose branch norms all agree this closely are one
 SAME_NORMS_TOL = 1e-12
+#: a Gaussian draw of at most this norm is redrawn, not normalized
+DRAW_NORM_MIN = 1e-6
+#: unequal sampled standard-act weights closer than this are skipped
+DOMINANCE_GAP_MIN = 1e-6
+#: a counterexample search reports a norm or weight gap above this
+SEARCH_GAP = 1e-6
 
 _CAPACITY_ERRORS = (CannotOrthogonalize, InsufficientDimension)
 # combining blocks additionally needs pairwise-orthogonal domains
@@ -126,7 +132,7 @@ def random_state_in(sub: Subspace, rng: np.random.Generator) -> StateVector:
     while True:
         c = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
         n = np.linalg.norm(c)
-        if n > 1e-6:
+        if n > DRAW_NORM_MIN:
             return StateVector(sub.basis @ (c / n))
 
 
@@ -1083,7 +1089,7 @@ def _dominance(run, t, rng):
         a, b = sorted(rng.uniform(0.0, 1.0, size=2))
         if trial % 4 == 0:
             a = b  # exercise the tie branch
-        elif b - a < 1e-6:
+        elif b - a < DOMINANCE_GAP_MIN:
             continue
         try:
             ua = make_standard_act(p, psi, b, forge=ActForge(p))
@@ -1101,7 +1107,7 @@ def _utility(run, t, rng):
     """Elicitation is probe-independent (uniqueness) and matches the
     reward order (monotonicity)."""
     p = run.p
-    tol = 1e-6
+    tol = ELICIT_TOL
     probes = sorted({m.id for m in p.macrostates})[:2]
     try:
         tables = [elicit_utility(p, run.oracle, tol=tol, probe=pr).table
@@ -1375,7 +1381,7 @@ def _search_branch_uniqueness(p: QuantumDecisionProblem, budget: int,
         for a, b in combinations(decomps, 2):
             gap = max(abs(a.get(m, 0.0) - b.get(m, 0.0))
                       for m in set(a) | set(b))
-            if gap > 1e-6:
+            if gap > SEARCH_GAP:
                 return _py({"target": "branch-uniqueness",
                             "witness": {"state": encode_vector(psi.vec),
                                         "decompositions": [a, b],
@@ -1407,7 +1413,7 @@ def _search_equivalence_step(p: QuantumDecisionProblem, budget: int,
                         project(p.reward_subspace(rid), img).norm ** 2)
             gap = max(abs(whole[rid] - blockwise[rid])
                       for rid in p.reward_ids)
-            if gap > 1e-6:
+            if gap > SEARCH_GAP:
                 return _py({"target": "equivalence-step",
                             "witness": {"act": act_payload(act),
                                         "state": encode_vector(psi.vec),

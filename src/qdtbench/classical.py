@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
-from .comparison import TIE_BAND, Comparison, bisect_indifference
+from .comparison import (ELICIT_TOL, TIE_BAND, Comparison,
+                         bisect_indifference)
 from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
                      WeightSumError)
 
@@ -142,7 +143,7 @@ class LexicographicOracle(LotteryOracle):
 # -- elicitation -------------------------------------------------------------
 
 def vnm_elicit(oracle: LotteryOracle, rewards: Sequence[str], r0: str,
-               r1: str, tol: float = 1e-6, max_steps: int = 40
+               r1: str, tol: float = ELICIT_TOL, max_steps: int = 40
                ) -> dict[str, float]:
     """Utility of each reward from indifference against best/worst mixes.
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import classical as cls
 from .branching import (born_deviation_norm, check_series_cost,
                         check_sweep_cost, coarse_grain_count)
+from .comparison import ELICIT_TOL
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
                      ParseError, QdtError, SchemaError, SeriesTooLarge,
                      ValidationError)
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recover the utility table from the oracle")
     with_instance(sp, sampled=False,
                   oracle_kinds=("born", "counting", "table"))
-    sp.add_argument("--tol", type=_positive_float, default=1e-6)
+    sp.add_argument("--tol", type=_positive_float, default=ELICIT_TOL)
     sp.set_defaults(func=cmd_elicit)
 
     sp = sub.add_parser("classical-vnm",

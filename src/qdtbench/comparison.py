@@ -7,6 +7,8 @@ from typing import Callable
 
 #: expected-utility differences at or below this count as indifference
 TIE_BAND = 1e-9
+#: default bracket width at which utility elicitation stops bisecting
+ELICIT_TOL = 1e-6
 
 
 class Comparison(enum.IntEnum):

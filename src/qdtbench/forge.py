@@ -27,6 +27,9 @@ from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
                       smallest_event_ids)
 
+#: a Gram-Schmidt residual of at most this norm is dependent and dropped
+GRAM_SCHMIDT_MIN = 1e-7
+
 
 def identity_act(event: Subspace) -> PartialIsometryAct:
     """The act that leaves every state of the event untouched."""
@@ -148,7 +151,7 @@ class ActForge:
             for c in cols:
                 v = v - c * np.vdot(c, v)
             n = np.linalg.norm(v)
-            if n > 1e-7:
+            if n > GRAM_SCHMIDT_MIN:
                 cols.append(v / n)
             if len(cols) == m:
                 break

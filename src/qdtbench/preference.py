@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import TIE_BAND, Comparison, bisect_indifference
+from .comparison import (ELICIT_TOL, TIE_BAND, Comparison,
+                         bisect_indifference)
 from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
                      DomainMismatch, IntransitiveOracle, MissingUtility,
                      NonMonotoneOracle)
@@ -284,7 +285,7 @@ def _probe_macrostate(p: QuantumDecisionProblem) -> str:
 
 
 def elicit_utility(p: QuantumDecisionProblem, oracle: PreferenceOracle,
-                   tol: float = 1e-6, probe: str | None = None,
+                   tol: float = ELICIT_TOL, probe: str | None = None,
                    max_steps: int = 40) -> ElicitResult:
     """Recover each reward's utility by bisecting against standard acts.
 

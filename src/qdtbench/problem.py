@@ -21,6 +21,8 @@ from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
 
 #: refuse exhaustive 2^n lattice enumeration above this many macrostates
 LATTICE_GUARD = 16
+#: a state whose squared norm is below this has no Born weights
+ZERO_NORM_SQ = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +312,7 @@ def born_weights(p: QuantumDecisionProblem, psi: StateVector) -> dict[str, float
     if psi.dim != p.dim:
         raise DimensionMismatch(f"state dim {psi.dim} vs problem dim {p.dim}")
     n2 = psi.norm ** 2
-    if n2 < 1e-24:
+    if n2 < ZERO_NORM_SQ:
         raise ZeroState("weights of a zero state are undefined")
     return {r.id: project(p.reward_subspace(r.id), psi).norm ** 2 / n2
             for r in p.rewards}
