@@ -8,6 +8,7 @@ equipartition bets.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -19,8 +20,8 @@ from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
                      WeightSumError)
 
 PROB_TOL = 1e-12
-#: refuse a Savage bracket over more cells than this; its equipartition
-#: check compares n(n-1)/2 bets
+#: refuse a Savage bracket over more cells than this; an oracle without
+#: a utility representation checks equipartition on n(n-1)/2 bet pairs
 CELLS_GUARD = 3_000
 
 
@@ -427,11 +428,25 @@ def _bet(states: tuple[str, ...], event: Iterable[str], x: str,
 
 
 class ActOracle(ABC):
-    """Three-way comparator over classical acts."""
+    """Three-way comparator over classical acts.
+
+    `untied_pair` scans every pair through `compare`; an oracle that can
+    answer "do all of these tie?" faster overrides it with the same
+    answers.
+    """
 
     @abstractmethod
     def compare(self, f: ClassicalAct, g: ClassicalAct) -> Comparison:
         ...
+
+    def untied_pair(self, acts: Sequence[ClassicalAct]
+                    ) -> tuple[int, int] | None:
+        """The first pair (i, j), i < j in lexicographic order, that
+        `compare` does not rank TIE; None when every pair ties."""
+        for i, j in combinations(range(len(acts)), 2):
+            if self.compare(acts[i], acts[j]) is not Comparison.TIE:
+                return i, j
+        return None
 
 
 class PlantedMeasureOracle(ActOracle):
@@ -478,6 +493,27 @@ class PlantedMeasureOracle(ActOracle):
             return Comparison.TIE
         return Comparison.BETTER if d > 0 else Comparison.WORSE
 
+    def untied_pair(self, acts: Sequence[ClassicalAct]
+                    ) -> tuple[int, int] | None:
+        """The pair scan's answer, decided from each act's value once
+        when every pair ties.
+
+        `compare` ties when |fl(e_i - e_j)| <= tie.  Rounding to nearest
+        is monotone and symmetric, so over finite floats the largest
+        such gap is fl(max - min): every pair ties exactly when that
+        one does.  Otherwise (a gap over the band, a non-finite or
+        non-float value, or an error) the scan runs, so the first
+        untied pair, or the error, is the one it always gave.
+        """
+        try:
+            values = [self._eu(f) for f in acts]
+        except Exception:
+            return super().untied_pair(acts)
+        if all(type(v) is float and math.isfinite(v) for v in values) and (
+                not values or max(values) - min(values) <= self.tie):
+            return None
+        return super().untied_pair(acts)
+
 
 def savage_probability(oracle: ActOracle, states: Sequence[str],
                        event: Iterable[str], cells: Sequence[Iterable[str]],
@@ -485,8 +521,9 @@ def savage_probability(oracle: ActOracle, states: Sequence[str],
     """Bracket an event's subjective probability with equipartition bets.
 
     `cells` must partition the state set into n pieces the oracle ranks
-    pairwise indifferent (checked via x-on-cell bets; NotEquipartition
-    otherwise).  m is the least number of leading cells whose union is
+    pairwise indifferent (checked on the x-on-cell bets by the oracle's
+    `untied_pair`, one pass under a planted measure; NotEquipartition
+    names the first untied pair otherwise).  m is the least number of leading cells whose union is
     weakly preferred, as a bet, to betting on the event; the bracket is
     [(m-1)/n, m/n], clamped at zero.  Unions are scanned cumulatively in
     the given cell order, which equipartition makes representative.
@@ -506,10 +543,10 @@ def savage_probability(oracle: ActOracle, states: Sequence[str],
     # every bet shares the one sorted state tuple and costs its event
     ids, x, y = tuple(sorted(set(map(str, states)))), str(x), str(y)
     probes = [_bet(ids, map(str, c), x, y) for c in cell_sets]
-    for i, j in combinations(range(n), 2):
-        if oracle.compare(probes[i], probes[j]) is not Comparison.TIE:
-            raise NotEquipartition(
-                f"cells {i} and {j} are not ranked equally likely")
+    pair = oracle.untied_pair(probes)
+    if pair is not None:
+        raise NotEquipartition(
+            f"cells {pair[0]} and {pair[1]} are not ranked equally likely")
     target = ClassicalAct.bet(states, event, x, y)
     union: list[str] = []
     m = None

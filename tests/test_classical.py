@@ -1,5 +1,7 @@
 """Lottery algebra, utility elicitation, and subjective probability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -238,10 +240,17 @@ def test_savage_matches_dense_fold_bit_for_bit(utility):
         got = savage_probability(sparse, states, event, cells, "win", "lose")
         want = savage_probability(dense, states, event, cells, "win", "lose")
         assert got == want
-        # the same questions, with the same EU gaps to the last bit
+        # the dense oracle scans the n(n-1)/2 cell pairs through compare;
+        # the planted one decides them from each bet's value, so only
+        # the union scan's questions remain, with the same EU gaps to
+        # the last bit
+        n_pairs = len(cells) * (len(cells) - 1) // 2
         assert [(f, g, repr(d)) for f, g, d in sparse.asked] == \
-            [(f, g, repr(d)) for f, g, d in dense.asked]
-        for act in (ClassicalAct.bet(states, event, "win", "lose"),
+            [(f, g, repr(d)) for f, g, d in dense.asked[n_pairs:]]
+        assert sparse.asked
+        probes = [ClassicalAct.bet(states, c, "win", "lose") for c in cells]
+        for act in (*probes,
+                    ClassicalAct.bet(states, event, "win", "lose"),
                     ClassicalAct.bet(states, states, "win", "lose"),
                     ClassicalAct.bet(states, (), "win", "lose"),
                     ClassicalAct.from_mapping(
@@ -277,3 +286,112 @@ def test_planted_measure_must_be_finite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(WeightSumError):
             PlantedMeasureOracle({"s0": bad, "s1": 0.5}, {"win": 1.0})
+
+
+# -- the one-pass equipartition decision -------------------------------------
+
+class ScanningOracle(PlantedMeasureOracle):
+    """The planted order with the default pair scan for equipartition."""
+    untied_pair = ActOracle.untied_pair
+
+
+def _outcome(oracle, states, cells, event=()):
+    """The bracket savage_probability gives, or the error it raises."""
+    try:
+        return savage_probability(oracle, states, event, cells, "win", "lose")
+    except (NotEquipartition, MissingUtility) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class CountingOracle(PlantedMeasureOracle):
+    compares = 0
+
+    def compare(self, f, g):
+        self.compares += 1
+        return super().compare(f, g)
+
+
+def _same_as_scan(measure, utility, states, cells, tie=PROB_TOL):
+    """The one-pass answer, checked against the pair scan's; a tie is
+    decided without a single compare."""
+    one_pass = CountingOracle(measure, utility, tie)
+    scan = ScanningOracle(measure, utility, tie)
+    probes = [ClassicalAct.bet(states, c, "win", "lose") for c in cells]
+    got = one_pass.untied_pair(probes)
+    assert got == scan.untied_pair(probes)
+    assert got is not None or one_pass.compares == 0
+    assert _outcome(one_pass, states, cells, states[:1]) == \
+        _outcome(scan, states, cells, states[:1])
+    return got
+
+
+def test_one_pass_equipartition_matches_the_pair_scan():
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed + 500)
+        states, cells, measure = _skewed_cells(int(rng.integers(2, 12)),
+                                               int(rng.integers(1, 4)), seed)
+        # skew some cells by amounts on both sides of the tie band
+        for cell in cells:
+            if rng.uniform() < 0.3:
+                scale = float(rng.choice([1e-14, 4e-13, 1e-12, 3e-12, 1e-3]))
+                measure[cell[0]] += scale * float(rng.uniform(-1.0, 1.0))
+        total = sum(measure.values())
+        measure = {s: v / total for s, v in measure.items()}
+        utility = ({"win": 1.0, "lose": 0.0}, {"win": 1.0, "lose": 0.25},
+                   {"win": -2.0, "lose": 3.0})[seed % 3]
+        seen.add(_same_as_scan(measure, utility, states, cells) is None)
+    assert seen == {True, False}
+
+
+def test_one_pass_equipartition_edge_cases():
+    states = ["s0", "s1", "s2"]
+    cells = [["s0"], ["s1"], ["s2"]]
+    measure = {"s0": 0.3, "s1": 0.3, "s2": 0.4}
+    unit = {"win": 1.0, "lose": 0.0}
+    gap = 0.4 - 0.3
+    # a range exactly at the band ties; one ulp over it does not
+    assert _same_as_scan(measure, unit, states, cells, tie=gap) is None
+    assert _same_as_scan(measure, unit, states, cells,
+                         tie=math.nextafter(gap, 0.0)) == (0, 2)
+    # non-finite values: the scan decides (inf - inf is nan, no tie)
+    for bad in (math.inf, -math.inf, math.nan):
+        for utility in ({"win": bad, "lose": 0.0}, {"win": 1.0, "lose": bad}):
+            assert _same_as_scan(measure, utility, states, cells) == (0, 1)
+            assert _same_as_scan({"s0": 0.5, "s1": 0.0, "s2": 0.5}, utility,
+                                 states, cells) == (0, 1)
+    # a nan among finite values, where max and min would skip it
+    assert _same_as_scan(measure, {"win": math.nan, "lose": 0.0}, states,
+                         [[], [], states]) == (0, 2)
+    # one cell: no pairs
+    assert _same_as_scan(measure, unit, states, [states]) is None
+    # signed zeros all tie
+    for utility in ({"win": 0.0, "lose": -0.0}, {"win": -0.0, "lose": 0.0},
+                    {"win": -0.0, "lose": -0.0}):
+        assert _same_as_scan(measure, utility, states, cells) is None
+    # an error the scan never reaches: cells 0 and 1 pay an infinite
+    # default everywhere and fail to tie before the bet on "win", which
+    # has no utility, is valued
+    inf_default = {"lose": math.inf}
+    assert _same_as_scan(measure, inf_default, states,
+                         [[], [], states]) == (0, 1)
+    assert _outcome(PlantedMeasureOracle(measure, inf_default), states,
+                    [[], [], states]) == (
+        "NotEquipartition", "cells 0 and 1 are not ranked equally likely")
+
+
+def test_savage_cells_asks_a_linear_number_of_compares(monkeypatch, capsys):
+    from qdtbench import cli
+
+    asked = []
+    compare = PlantedMeasureOracle.compare
+
+    def counting(self, f, g):
+        asked.append(None)
+        return compare(self, f, g)
+
+    monkeypatch.setattr(PlantedMeasureOracle, "compare", counting)
+    n = 2000
+    assert cli.main(["savage", "--cells", str(n)]) == 0
+    assert "RESULT pass" in capsys.readouterr().out
+    assert 0 < len(asked) < 3 * n

@@ -298,7 +298,8 @@ def test_cli_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
 
 
 # Numeric tokens for the fuzz test: legal values stay small, so the test
-# stays fast; illegal ones cover signs, non-finite and non-numeric text.
+# stays fast (`savage --cells` also draws up to its guard); illegal ones
+# cover signs, non-finite and non-numeric text.
 _BAD_TOKENS = ["-1", "0", "nan", "inf", "-inf", "1e999", "abc", "", "0x10",
                "1,2", " ", "1.5", "-0.0"]
 _INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(_BAD_TOKENS))
@@ -324,7 +325,9 @@ def _cheap_argv(draw):
         return ["sweep-grain", "--k", draw(_INTS), "--weights", draw(_LISTS),
                 "--n", draw(_INTS), "--theta-list", draw(_LISTS)]
     if kind == "savage":
-        return ["savage", "--cells", draw(_INTS)]
+        # a draw at the cell guard takes about 0.2 s in process
+        return ["savage", "--cells",
+                draw(st.one_of(_INTS, st.integers(2, CELLS_GUARD).map(str)))]
     return ["classical-vnm", "--seed", draw(_INTS), "--samples",
             draw(_INTS), "min2"]
 
