@@ -20,12 +20,13 @@ from qdtbench.audit import (discriminable_support, null_probe_catalog,
                             random_state_in, random_weights)
 from qdtbench.branching import born_deviation_norm, grow, modal_count_vector
 from qdtbench import classical as cls
-from qdtbench.comparison import Comparison
+from qdtbench.comparison import TIE_BAND, Comparison
 from qdtbench.errors import NormMismatch, QdtError
 from qdtbench.forge import ActForge, identity_act, restrict_act
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               complement, join, meet, orthonormalize, project)
 from qdtbench.instances import FIXTURE_BUILDERS, random_problem
+from qdtbench.problem import born_weights
 from qdtbench.preference import (BornOracle, elicit_utility,
                                  expected_utility, born_compare,
                                  is_null_pair, make_standard_act,
@@ -435,7 +436,54 @@ def test_classical_suite():
     verdict("classical-suite", bad, total)
 
 
-# 13. The command surface: stable bytes, honest exit codes.
+# 13. The Born order is the classical PMEU order on Born-weight lotteries.
+def test_born_agrees_with_classical_pmeu():
+    bad = total = skipped = 0
+    tol = 1e-6
+    for name, build in sorted(FIXTURE_BUILDERS.items()):
+        inst = build()
+        p, ut = inst.problem, inst.utility
+        born = elicit_utility(p, BornOracle(p, ut), tol=tol).table
+        vnm = cls.vnm_elicit(cls.PMEUOracle(ut.as_dict()), p.reward_ids,
+                             p.r0_id, p.r1_id, tol=tol)
+        for rid in p.reward_ids:
+            total += 1
+            bad += not abs(born.of(rid) - vnm[rid]) <= tol
+    for name in ("std6", "std8"):
+        inst = FIXTURE_BUILDERS[name]()
+        p, ut = inst.problem, inst.utility
+        pmeu = cls.PMEUOracle(ut.as_dict())
+        rids = list(p.reward_ids)
+        rng = np.random.default_rng([len(name), 13])
+        for trial in range(60):
+            mac = p.macrostates[int(rng.integers(len(p.macrostates)))]
+            psi = random_state_in(mac.subspace, rng)
+            acts = []
+            for _ in range(2):
+                k = int(rng.integers(1, len(rids) + 1))
+                picks = sorted(rng.choice(rids, size=k,
+                                          replace=False).tolist())
+                acts.append(ActForge(p).weighted_act(
+                    psi, dict(zip(picks, random_weights(rng, k)))))
+            if trial % 5 == 0:
+                acts[1] = acts[0]  # an exact tie
+            gap = (expected_utility(p, psi, acts[0], ut)
+                   - expected_utility(p, psi, acts[1], ut))
+            # the two kernels round differently: leave out near ties,
+            # nonzero gaps within TIE_BAND of the band's edge
+            if 0.0 < abs(gap) <= 2 * TIE_BAND:
+                skipped += 1
+                continue
+            lotteries = [cls.Lottery(born_weights(p, a.apply(psi)))
+                         for a in acts]
+            total += 1
+            bad += (born_compare(p, psi, *acts, ut)
+                    is not pmeu.compare(*lotteries))
+    verdict("born-vs-classical", bad, total, f"{skipped} near the band")
+    assert total >= 100
+
+
+# 14. The command surface: stable bytes, honest exit codes.
 def test_cli_contract(tmp_path):
     bad = total = 0
     notes = []
