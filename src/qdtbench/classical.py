@@ -502,12 +502,14 @@ class PlantedMeasureOracle(ActOracle):
         is monotone and symmetric, so over finite floats the largest
         such gap is fl(max - min): every pair ties exactly when that
         one does.  Otherwise (a gap over the band, a non-finite or
-        non-float value, or an error) the scan runs, so the first
-        untied pair, or the error, is the one it always gave.
+        non-float value, or a missing utility) the scan runs, so the
+        first untied pair, or the error, is the one it always gave.  A
+        subclass that changes what `compare` ranks overrides this too.
         """
         try:
             values = [self._eu(f) for f in acts]
-        except Exception:
+        except MissingUtility:
+            # the scan may meet an untied pair before this act
             return super().untied_pair(acts)
         if all(type(v) is float and math.isfinite(v) for v in values) and (
                 not values or max(values) - min(values) <= self.tie):
@@ -521,12 +523,13 @@ def savage_probability(oracle: ActOracle, states: Sequence[str],
     """Bracket an event's subjective probability with equipartition bets.
 
     `cells` must partition the state set into n pieces the oracle ranks
-    pairwise indifferent (checked on the x-on-cell bets by the oracle's
-    `untied_pair`, one pass under a planted measure; NotEquipartition
-    names the first untied pair otherwise).  m is the least number of leading cells whose union is
-    weakly preferred, as a bet, to betting on the event; the bracket is
-    [(m-1)/n, m/n], clamped at zero.  Unions are scanned cumulatively in
-    the given cell order, which equipartition makes representative.
+    pairwise indifferent: the oracle's `untied_pair` checks the x-on-cell
+    bets, in one pass under a planted measure, and NotEquipartition
+    names the first untied pair.  m is the least number of leading cells
+    whose union is weakly preferred, as a bet, to betting on the event;
+    the bracket is [(m-1)/n, m/n], clamped at zero.  Unions are scanned
+    cumulatively in the given cell order, which equipartition makes
+    representative.
     """
     states = list(states)
     cell_sets = [set(c) for c in cells]
