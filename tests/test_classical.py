@@ -303,7 +303,7 @@ def _outcome(oracle, states, cells, event=()):
         return type(exc).__name__, str(exc)
 
 
-class CountingOracle(PlantedMeasureOracle):
+class TallyingOracle(PlantedMeasureOracle):
     compares = 0
 
     def compare(self, f, g):
@@ -314,7 +314,7 @@ class CountingOracle(PlantedMeasureOracle):
 def _same_as_scan(measure, utility, states, cells, tie=PROB_TOL):
     """The one-pass answer, checked against the pair scan's; a tie is
     decided without a single compare."""
-    one_pass = CountingOracle(measure, utility, tie)
+    one_pass = TallyingOracle(measure, utility, tie)
     scan = ScanningOracle(measure, utility, tie)
     probes = [ClassicalAct.bet(states, c, "win", "lose") for c in cells]
     got = one_pass.untied_pair(probes)
