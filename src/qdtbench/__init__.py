@@ -5,9 +5,11 @@ acts), `problem` (macrostates, rewards, instances), `forge` (act
 construction), `comparison` (three-way outcomes, the tie band,
 bisection), `preference` (oracles, utilities, elicitation), `audit`
 (axiom and lemma instantiation), `branching` (iterated-branching
-series), `classical` (lottery and bet suites), `io`/`instances`/`cli`
-(fixtures and the `qdt` command).  Importing the package loads none of
-them: each public name is imported from its layer on first use.
+series), `classical` (lottery and bet suites), `io` (instance documents;
+the bundled fixtures ship as JSON in `qdtbench/fixtures`), `instances`
+(random instances) and `cli` (the `qdt` command).  Importing the package
+loads none of them: each public name is imported from its layer on
+first use.
 """
 import importlib
 
@@ -33,7 +35,7 @@ _EXPORTS = {
                   "mix", "savage_probability", "vnm_elicit"),
     "io": ("LoadedInstance", "load_instance", "loads_instance",
            "save_instance"),
-    "instances": ("FIXTURE_BUILDERS", "random_problem"),
+    "instances": ("random_problem",),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

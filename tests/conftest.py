@@ -6,34 +6,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdtbench.instances import FIXTURE_BUILDERS
+from qdtbench.io import load_instance
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "qdtbench" / "fixtures"
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURE_DIR.glob("*.json"))
+
+
+def load_fixture(name: str):
+    """A bundled fixture, read from the same packaged JSON the CLI reads."""
+    return load_instance(FIXTURE_DIR / f"{name}.json")
 
 
 @pytest.fixture(scope="session")
 def min2():
-    return FIXTURE_BUILDERS["min2"]()
+    return load_fixture("min2")
 
 
 @pytest.fixture(scope="session")
 def std6():
-    return FIXTURE_BUILDERS["std6"]()
+    return load_fixture("std6")
 
 
 @pytest.fixture(scope="session")
 def std8():
-    return FIXTURE_BUILDERS["std8"]()
+    return load_fixture("std8")
 
 
 @pytest.fixture(scope="session")
 def overlap2():
-    return FIXTURE_BUILDERS["overlap2"]()
+    return load_fixture("overlap2")
 
 
 @pytest.fixture(scope="session")
 def irrev6():
-    return FIXTURE_BUILDERS["irrev6"]()
+    return load_fixture("irrev6")
 
 
 def cli(*args, env=None, timeout=300):

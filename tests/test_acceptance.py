@@ -25,14 +25,14 @@ from qdtbench.errors import NormMismatch, QdtError
 from qdtbench.forge import ActForge, identity_act, restrict_act
 from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               complement, join, meet, orthonormalize, project)
-from qdtbench.instances import FIXTURE_BUILDERS, random_problem
+from qdtbench.instances import random_problem
 from qdtbench.problem import born_weights
 from qdtbench.preference import (BornOracle, elicit_utility,
                                  expected_utility, born_compare,
                                  is_null_pair, make_standard_act,
                                  reduce_to_standard, standard_weight)
 
-from conftest import FIXTURE_DIR, cli
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, cli, load_fixture
 
 BETTER, TIE, WORSE = Comparison.BETTER, Comparison.TIE, Comparison.WORSE
 
@@ -132,7 +132,7 @@ def test_equivalence_on_norm_matched_pairs():
 
 # 3. Standard acts order strictly by weight gap >= 1e-6, tie at <= 1e-12.
 def test_dominance_on_standard_acts():
-    inst = FIXTURE_BUILDERS["std8"]()
+    inst = load_fixture("std8")
     p, ut = inst.problem, inst.utility
     oracle = BornOracle(p, ut)
     mac = min(p.macrostates, key=lambda m: (m.subspace.dim, m.id))
@@ -211,7 +211,7 @@ def test_utility_round_trip():
 def test_standard_act_reduction():
     rng = np.random.default_rng(61)
     bad = total = 0
-    insts = [FIXTURE_BUILDERS["std6"](), FIXTURE_BUILDERS["std8"]()]
+    insts = [load_fixture("std6"), load_fixture("std8")]
     while total < 100:
         inst = insts[total % 2]
         p, ut = inst.problem, inst.utility
@@ -242,14 +242,14 @@ def test_axiom_audit_outcomes():
     bad = total = 0
     notes = []
     for name in ("min2", "std6", "std8", "irrev6"):
-        inst = FIXTURE_BUILDERS[name]()
+        inst = load_fixture(name)
         rep = audit_mod.audit_rationality(inst.problem, inst.oracle("born"),
                                           samples=150, seed=0)
         total += 1
         bad += not rep.ok
         if not rep.ok:
             notes.append(f"born fails on {name}")
-    std6 = FIXTURE_BUILDERS["std6"]()
+    std6 = load_fixture("std6")
     rep1 = audit_mod.audit_rationality(std6.problem, std6.oracle("counting"),
                                        samples=150, seed=0)
     rep2 = audit_mod.audit_rationality(std6.problem, std6.oracle("counting"),
@@ -271,11 +271,11 @@ def test_axiom_audit_outcomes():
 def test_richness_constructions():
     bad = total = 0
     for name in ("min2", "std6", "std8"):
-        inst = FIXTURE_BUILDERS[name]()
+        inst = load_fixture(name)
         rep = audit_mod.audit_richness(inst.problem, samples=150, seed=0)
         total += 1
         bad += not rep.ok
-    p = FIXTURE_BUILDERS["std8"]().problem
+    p = load_fixture("std8").problem
     rng = np.random.default_rng(83)
     for _ in range(20):
         mac = p.macrostates[int(rng.integers(len(p.macrostates)))]
@@ -440,8 +440,8 @@ def test_classical_suite():
 def test_born_agrees_with_classical_pmeu():
     bad = total = skipped = 0
     tol = 1e-6
-    for name, build in sorted(FIXTURE_BUILDERS.items()):
-        inst = build()
+    for name in FIXTURE_NAMES:
+        inst = load_fixture(name)
         p, ut = inst.problem, inst.utility
         born = elicit_utility(p, BornOracle(p, ut), tol=tol).table
         vnm = cls.vnm_elicit(cls.PMEUOracle(ut.as_dict()), p.reward_ids,
@@ -450,7 +450,7 @@ def test_born_agrees_with_classical_pmeu():
             total += 1
             bad += not abs(born.of(rid) - vnm[rid]) <= tol
     for name in ("std6", "std8"):
-        inst = FIXTURE_BUILDERS[name]()
+        inst = load_fixture(name)
         p, ut = inst.problem, inst.utility
         pmeu = cls.PMEUOracle(ut.as_dict())
         rids = list(p.reward_ids)
@@ -500,7 +500,7 @@ def test_cli_contract(tmp_path):
     def fx(name):
         return str(FIXTURE_DIR / f"{name}.json")
 
-    for name in ("min2", "std6", "std8", "overlap2", "irrev6"):
+    for name in FIXTURE_NAMES:
         expect(0, "validate", fx(name))
     for name in ("min2", "std6", "std8"):
         expect(0, "audit-richness", "--seed", "0", "--samples", "80",

@@ -16,6 +16,8 @@ from qdtbench.forge import ActForge, compose_acts, identity_act, restrict_act
 from qdtbench.hilbert import StateVector, acts_agree_on, project
 from qdtbench.problem import born_weights
 
+from conftest import load_fixture
+
 TOL = 1e-9
 
 
@@ -118,8 +120,7 @@ def test_erasure_pair_merges_states(std6):
 
 
 def test_erasure_rejects_norm_gap():
-    from qdtbench.instances import FIXTURE_BUILDERS
-    p = FIXTURE_BUILDERS["std6"]().problem
+    p = load_fixture("std6").problem
     psi1 = StateVector(p.macrostate("m4").subspace.basis[:, 0])
     psi2 = StateVector(0.9 * p.macrostate("m5").subspace.basis[:, 0])
     with pytest.raises(NormMismatch):
@@ -202,8 +203,7 @@ def test_compose_acts_is_matrix_composition(std6):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4))
 @settings(max_examples=30, deadline=None)
 def test_forged_acts_are_isometries(seed, nrewards):
-    from qdtbench.instances import FIXTURE_BUILDERS
-    p = FIXTURE_BUILDERS["std8"]().problem
+    p = load_fixture("std8").problem
     rng = np.random.default_rng(seed)
     mid = str(rng.choice(list(p.macrostate_ids)))
     psi = StateVector(p.macrostate(mid).subspace.basis[:, 0])

@@ -138,6 +138,11 @@ def run_all(directory: Path) -> dict[str, dict]:
     return {cid: run_case(argv, directory) for cid, argv in cases().items()}
 
 
+def test_golden_fixtures_are_every_bundled_fixture():
+    from conftest import FIXTURE_NAMES
+    assert sorted(FIXTURES) == FIXTURE_NAMES
+
+
 def test_golden_corpus(tmp_path):
     expected = json.loads(CORPUS.read_text(encoding="utf-8"))
     got = run_all(tmp_path)

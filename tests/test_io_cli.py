@@ -24,30 +24,20 @@ from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
                                 TREE_GUARD, tree_words)
 from qdtbench.classical import CELLS_GUARD
 from qdtbench.errors import ParseError, SchemaError, ValidationError
-from qdtbench.instances import FIXTURE_BUILDERS
 from qdtbench.io import dumps_instance, load_instance, loads_instance
 
-from conftest import FIXTURE_DIR, cli
-
-ALL_FIXTURES = ["min2", "std6", "std8", "overlap2", "irrev6"]
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, cli
 
 
 # -- round trips --------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_round_trip_is_byte_stable(name):
     text = (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
     once = dumps_instance(loads_instance(text))
     twice = dumps_instance(loads_instance(once))
     assert once == twice
     assert once == text  # shipped fixtures are already canonical
-
-
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_builders_match_shipped_fixtures(name):
-    built = dumps_instance(FIXTURE_BUILDERS[name]())
-    shipped = (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
-    assert built == shipped
 
 
 # -- schema errors ------------------------------------------------------------
@@ -469,10 +459,9 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
 def test_package_names_resolve_lazily_to_their_home_objects():
     import qdtbench
     from qdtbench import classical, preference
-    homes = {"FIXTURE_BUILDERS": "qdtbench.instances"}
     for name in qdtbench.__all__:
         value = getattr(qdtbench, name)
-        home = sys.modules[homes.get(name) or value.__module__]
+        home = sys.modules[value.__module__]
         assert value is getattr(home, name), name
     namespace = {}
     exec("from qdtbench import *", namespace)
