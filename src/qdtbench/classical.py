@@ -217,31 +217,33 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
     def describe(l: Lottery) -> dict:
         return {k: float(v) for k, v in l.probs.items()}
 
-    # ordering: completeness + transitivity over the finite set
+    # ordering: completeness + transitivity over the finite set; each
+    # ordered pair of members is asked once, and every later check that
+    # reads a pair of members reads it from `ans`
     fails = []
     n_ord = 0
-    for a, b in combinations(range(len(ls)), 2):
-        c_ab = oracle.compare(ls[a], ls[b])
-        c_ba = oracle.compare(ls[b], ls[a])
+    pairs = list(combinations(range(len(ls)), 2))
+    ans: dict[tuple[int, int], Comparison] = {}
+    for a, b in pairs:
+        ans[a, b] = oracle.compare(ls[a], ls[b])
+        ans[b, a] = oracle.compare(ls[b], ls[a])
         n_ord += 1
-        if c_ab is not c_ba.flipped():
+        if ans[a, b] is not ans[b, a].flipped():
             fails.append({"kind": "asymmetry", "a": describe(ls[a]),
                           "b": describe(ls[b])})
     for a, b, c in combinations(range(len(ls)), 3):
         n_ord += 1
-        cab = int(oracle.compare(ls[a], ls[b]))
-        cbc = int(oracle.compare(ls[b], ls[c]))
-        cac = int(oracle.compare(ls[a], ls[c]))
+        cab, cbc, cac = int(ans[a, b]), int(ans[b, c]), int(ans[a, c])
         if cab >= 0 and cbc >= 0 and cac < 0:
             fails.append({"kind": "transitivity",
                           "triple": [describe(ls[x]) for x in (a, b, c)]})
     checks.append(ClassicalCheck("Ordering", "fail" if fails else "pass",
                                  n_ord, fails))
 
-    strict_pairs = [(a, b) for a, b in combinations(range(len(ls)), 2)
-                    if oracle.compare(ls[a], ls[b]) is Comparison.BETTER]
-    strict_pairs += [(b, a) for a, b in combinations(range(len(ls)), 2)
-                     if oracle.compare(ls[a], ls[b]) is Comparison.WORSE]
+    strict_pairs = [(a, b) for a, b in pairs
+                    if ans[a, b] is Comparison.BETTER]
+    strict_pairs += [(b, a) for a, b in pairs
+                     if ans[a, b] is Comparison.WORSE]
 
     # independence: A > B  =>  tA+(1-t)C > tB+(1-t)C  for t in (0, 1]
     fails = []
@@ -268,8 +270,8 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
     # scanning permutations cannot skip a chain the list order hides
     chains = [(a, b, c)
               for a, b, c in permutations(range(len(ls)), 3)
-              if oracle.compare(ls[a], ls[b]) is Comparison.BETTER
-              and oracle.compare(ls[b], ls[c]) is Comparison.BETTER]
+              if ans[a, b] is Comparison.BETTER
+              and ans[b, c] is Comparison.BETTER]
     for a, b, c in chains[:samples]:
         n += 1
         hi_ok = any(oracle.compare(mix(ls[a], ls[c], t), ls[b])
@@ -288,8 +290,7 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
     # substitutability: A ~ B  =>  mixes with any C stay indifferent
     fails = []
     n = 0
-    tie_pairs = [(a, b) for a, b in combinations(range(len(ls)), 2)
-                 if oracle.compare(ls[a], ls[b]) is Comparison.TIE]
+    tie_pairs = [(a, b) for a, b in pairs if ans[a, b] is Comparison.TIE]
     for _ in range(samples):
         if not tie_pairs:
             break

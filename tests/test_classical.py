@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qdtbench.classical import (PROB_TOL, ActOracle, ClassicalAct,
-                                LexicographicOracle, Lottery, PMEUOracle,
-                                PlantedMeasureOracle, check_vnm_axioms,
+                                LexicographicOracle, Lottery, LotteryOracle,
+                                PMEUOracle, PlantedMeasureOracle,
+                                check_vnm_axioms,
                                 expected_utility_classical, mix,
                                 savage_probability, vnm_elicit)
 from qdtbench.errors import MissingUtility, NotEquipartition, WeightSumError
@@ -67,6 +68,39 @@ def test_lexicographic_fails_archimedean_with_witness():
     arch = next(c for c in checks if c.name.lower().startswith("arch"))
     assert arch.status == "fail"
     assert arch.failures
+
+
+class RecordingLotteryOracle(LotteryOracle):
+    """Forwards to an inner oracle and logs each question."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    def compare(self, a, b):
+        self.log.append((a, b))
+        return self.inner.compare(a, b)
+
+
+@pytest.mark.parametrize("oracle", [PMEUOracle({"w": 0.0, "m": 0.4, "b": 1.0}),
+                                    LexicographicOracle(["b", "m"])],
+                         ids=["pmeu", "lex"])
+def test_vnm_checks_ask_each_member_pair_once(oracle):
+    rng = np.random.default_rng(5)
+    lotteries = corner_lotteries("b", "m", "w") + [
+        Lottery(dict(zip("bmw", rng.dirichlet(np.ones(3)))))
+        for _ in range(4)]
+    recording = RecordingLotteryOracle(oracle)
+    checks = check_vnm_axioms(lotteries, recording, samples=60, seed=0)
+    index = {id(lot): i for i, lot in enumerate(lotteries)}
+    member_pairs = [(index[id(a)], index[id(b)]) for a, b in recording.log
+                    if id(a) in index and id(b) in index]
+    n = len(lotteries)
+    assert sorted(member_pairs) == [(a, b) for a in range(n)
+                                    for b in range(n) if a != b]
+    plain = check_vnm_axioms(lotteries, oracle, samples=60, seed=0)
+    assert [(c.name, c.status, c.samples, c.failures) for c in checks] == \
+        [(c.name, c.status, c.samples, c.failures) for c in plain]
 
 
 def test_pmeu_order_is_affine_invariant():
