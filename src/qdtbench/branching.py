@@ -5,9 +5,9 @@ by outcome-count vector, which keeps the representation polynomial in n.
 `grow` stores the count vectors; the coarse-grained sweep walks them
 once and stores none.
 Multiplicities are exact big integers; per-leaf squared amplitudes are
-products of the branch weights.  Masses (multiplicity x squared
-amplitude) are evaluated in log space when the direct product would
-underflow, keeping normalization sums good to far better than 1e-12.
+products of the branch weights.  The deviation norm evaluates masses
+(multiplicity x squared amplitude) in log space, so no product
+underflows, and sums them compensated.
 """
 from __future__ import annotations
 
@@ -93,8 +93,8 @@ class BranchTree:
     """Aggregated outcome of n rounds of k-way branching.
 
     nodes maps a count vector to its exact leaf multiplicity.  Each leaf
-    with counts c has squared amplitude prod_j w_j^c_j; `node_mass` is
-    multiplicity times that.
+    with counts c has squared amplitude prod_j w_j^c_j, whose log is
+    `node_log_amp2`.
     """
     k: int
     weights: tuple[float, ...]
@@ -104,15 +104,6 @@ class BranchTree:
     def node_log_amp2(self, counts: tuple[int, ...]) -> float:
         """log of the per-leaf squared amplitude at this count vector."""
         return sum(c * math.log(w) for c, w in zip(counts, self.weights))
-
-    def node_mass(self, counts: tuple[int, ...]) -> float:
-        mult = self.nodes[counts]
-        log_amp = self.node_log_amp2(counts)
-        if -600.0 < log_amp and mult < 2 ** 900:
-            direct = mult * math.exp(log_amp)
-            if direct > 0.0 and math.isfinite(direct):
-                return direct
-        return math.exp(math.log(mult) + log_amp)
 
     def leaf_count(self) -> int:
         return sum(self.nodes.values())
