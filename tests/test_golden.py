@@ -1,9 +1,12 @@
-"""Golden byte corpus: exact report and stdout bytes of audit-type commands.
+"""Golden corpus: exact report and stdout bytes of audit-type commands.
 
 Each case runs in-process through `cli.main`; the corpus stores the
-sha256 of the output file (the JSON report, or the CSV for the series
-commands) and of stdout, plus the exit code.  A change
-that claims to keep reports byte-identical must leave this test green.
+output file (the JSON report, or the CSV for the series commands) and
+stdout as text under `golden/<case>/`, and the exit codes in
+`golden/corpus.json`.  A change that claims to keep reports
+byte-identical must leave this test green; on a mismatch the message
+names, for each case that moved, the JSON paths (or the lines) that
+differ.
 
 To re-record after an intended output change, run by hand from the
 repository root:
@@ -13,13 +16,15 @@ repository root:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
-CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: case id -> exit code
+CORPUS = GOLDEN / "corpus.json"
 
 FIXTURES = ("min2", "std6", "std8", "overlap2", "irrev6")
 #: file name -> random_problem(seed, n_macrostates, n_middle_rewards)
@@ -117,25 +122,79 @@ def write_random_instances(directory: Path) -> None:
         save_instance(random_problem(*args), directory / name)
 
 
+def case_dir(cid: str) -> Path:
+    return GOLDEN / re.sub(r"[^\w.=-]+", "_", cid)
+
+
 def run_case(argv: list[str], directory: Path) -> dict:
-    """Exit code and the sha256 of the output file and stdout bytes."""
+    """Exit code, output file name and bytes, and stdout bytes."""
     from qdtbench import cli
-    report = directory / "report.json"
-    report.unlink(missing_ok=True)
     argv = [a.replace("{inst}", str(directory)) for a in argv]
-    flag = "--out" if argv[0] in CSV_COMMANDS else "--report"
+    flag, name = (("--out", "report.csv") if argv[0] in CSV_COMMANDS
+                  else ("--report", "report.json"))
+    report = directory / name
+    report.unlink(missing_ok=True)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = cli.main(argv + [flag, str(report)])
-    return {"exit": rc,
-            "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest(),
-            "stdout_sha256": hashlib.sha256(
-                buf.getvalue().encode("utf-8")).hexdigest()}
+    return {"exit": rc, name: report.read_bytes(),
+            "stdout.txt": buf.getvalue().encode("utf-8")}
 
 
 def run_all(directory: Path) -> dict[str, dict]:
     write_random_instances(directory)
     return {cid: run_case(argv, directory) for cid, argv in cases().items()}
+
+
+_ABSENT = object()
+
+
+def json_paths(old, new, path: str = "$"):
+    """Paths at which two JSON documents differ.  Objects and lists of
+    objects are walked; any other list (a vector, a matrix) is one value."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from json_paths(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                  f"{path}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)
+          and any(isinstance(x, dict) for x in old + new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from json_paths(a, b, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path
+
+
+def changed_lines(old: bytes, new: bytes) -> str:
+    """Line ranges (1-based, as recorded) at which two texts differ."""
+    a, b = old.decode("utf-8").splitlines(), new.decode("utf-8").splitlines()
+    spans: list[list[int]] = []
+    for n in range(1, max(len(a), len(b)) + 1):
+        if a[n - 1:n] != b[n - 1:n]:
+            if spans and spans[-1][1] == n - 1:
+                spans[-1][1] = n
+            else:
+                spans.append([n, n])
+    return ", ".join(f"{lo}" if lo == hi else f"{lo}-{hi}" for lo, hi in spans)
+
+
+def differences(cid: str, got: dict, exit_code: int) -> list[str]:
+    """Where a case's output moved from the recorded one."""
+    out = [] if got["exit"] == exit_code else [
+        f"exit {exit_code} -> {got['exit']}"]
+    for name, data in got.items():
+        if name == "exit":
+            continue
+        path = case_dir(cid) / name
+        recorded = path.read_bytes() if path.is_file() else b""
+        if data == recorded:
+            continue
+        if name == "report.json" and recorded:
+            paths = list(json_paths(json.loads(recorded), json.loads(data)))
+            out += [f"report {p}" for p in paths] or ["report formatting"]
+        else:
+            out.append(f"{name} lines {changed_lines(recorded, data)}")
+    return out
 
 
 def test_golden_fixtures_are_every_bundled_fixture():
@@ -144,18 +203,27 @@ def test_golden_fixtures_are_every_bundled_fixture():
 
 
 def test_golden_corpus(tmp_path):
-    expected = json.loads(CORPUS.read_text(encoding="utf-8"))
+    exits = json.loads(CORPUS.read_text(encoding="utf-8"))
     got = run_all(tmp_path)
-    assert sorted(got) == sorted(expected)
-    changed = [cid for cid in expected if got[cid] != expected[cid]]
-    assert not changed, f"output bytes changed: {changed}"
+    assert sorted(got) == sorted(exits)
+    assert (sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+            == sorted(case_dir(cid).name for cid in got))
+    changed = {cid: diff for cid, out in got.items()
+               if (diff := differences(cid, out, exits[cid]))}
+    assert not changed, "output bytes changed:\n" + "\n".join(
+        f"  {cid}: {'; '.join(diff)}" for cid, diff in changed.items())
 
 
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         corpus = run_all(Path(tmp))
-    CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(corpus, sort_keys=True, indent=2) + "\n",
-                      encoding="utf-8")
-    print(f"recorded {len(corpus)} cases to {CORPUS}", file=sys.stderr)
+    for cid, out in corpus.items():
+        case_dir(cid).mkdir(parents=True, exist_ok=True)
+        for name, data in out.items():
+            if name != "exit":
+                (case_dir(cid) / name).write_bytes(data)
+    CORPUS.write_text(json.dumps({cid: out["exit"] for cid, out in
+                                  corpus.items()}, sort_keys=True, indent=2)
+                      + "\n", encoding="utf-8")
+    print(f"recorded {len(corpus)} cases to {GOLDEN}", file=sys.stderr)
