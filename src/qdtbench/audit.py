@@ -398,8 +398,7 @@ def _probe_target(p: QuantumDecisionProblem, mstar: str, rid: str,
         sub = p.macrostate(cand).subspace
         if sub.dim < need:
             continue
-        if all(np.abs(p.macrostate(o).subspace.basis.conj().T
-                      @ sub.basis).max() <= TOL_ORTH for o in kept):
+        if all(p.macrostate(o).subspace.orthogonal_to(sub) for o in kept):
             return cand
     return None
 
@@ -1187,12 +1186,8 @@ def _born_theorem(run, t, rng):
 
 def _orthogonal_support(p: QuantumDecisionProblem, support) -> bool:
     """Pairwise-orthogonal members; the probe construction requires this."""
-    for a, b in combinations(support, 2):
-        ba = p.macrostate(a).subspace.basis
-        bb = p.macrostate(b).subspace.basis
-        if np.abs(ba.conj().T @ bb).max() > TOL_ORTH:
-            return False
-    return True
+    return all(p.macrostate(a).subspace.orthogonal_to(p.macrostate(b).subspace)
+               for a, b in combinations(support, 2))
 
 
 def _null_supports(p: QuantumDecisionProblem, rng: np.random.Generator,

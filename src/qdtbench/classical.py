@@ -57,14 +57,6 @@ class Lottery:
     def prob(self, rid: str) -> float:
         return self.probs.get(rid, 0.0)
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(self.probs)
-
-    def allclose(self, other: "Lottery", tol: float = TIE_BAND) -> bool:
-        keys = set(self.probs) | set(other.probs)
-        return all(abs(self.prob(k) - other.prob(k)) <= tol for k in keys)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v:g}" for k, v in self.probs.items())
         return f"Lottery({{{inner}}})"

@@ -25,8 +25,7 @@ from .branching import (born_deviation_norm, check_series_cost,
                         check_sweep_cost, coarse_grain_count)
 from .comparison import ELICIT_TOL
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
-                     ParseError, QdtError, SchemaError, SeriesTooLarge,
-                     ValidationError)
+                     QdtError, SeriesTooLarge, ValidationError)
 
 
 def _lazy(layer: str):
@@ -506,9 +505,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:

@@ -80,11 +80,6 @@ class StateVector:
             raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
         return StateVector._trusted(self.vec / n)
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>, conjugate-linear in self."""
-        self._check_dim(other)
-        return complex(np.vdot(self.vec, other.vec))
-
     def allclose(self, other: "StateVector", tol: float = TOL_ORTH) -> bool:
         self._check_dim(other)
         return bool(np.linalg.norm(self.vec - other.vec) <= tol)
@@ -93,18 +88,9 @@ class StateVector:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        self._check_dim(other)
-        return StateVector(self.vec + other.vec)
-
     def __sub__(self, other: "StateVector") -> "StateVector":
         self._check_dim(other)
         return StateVector(self.vec - other.vec)
-
-    def __mul__(self, scalar) -> "StateVector":
-        return StateVector(self.vec * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, norm={self.norm:.6g})"
