@@ -13,14 +13,19 @@ import pytest
 import scipy.linalg
 
 from qdtbench.audit import (PERTURBATION_RADII, RATIONALITY_AXIOMS,
+                            SAME_NORMS_TOL, SEARCH_GAP, _decompositions,
                             audit_rationality, audit_richness,
                             born_theorem_report, check_lemmas,
                             find_counterexample, macrostate_probe_acts,
                             perturb_act, act_distance)
-from qdtbench.forge import ActForge
-from qdtbench.hilbert import PartialIsometryAct, StateVector, Subspace
+from qdtbench.forge import ActForge, restrict_act
+from qdtbench.hilbert import (TOL_ORTH, PartialIsometryAct, StateVector,
+                              Subspace, project)
+from qdtbench.io import decode_matrix, decode_vector
+from qdtbench.problem import born_weights, smallest_event_ids
 
 from conftest import unitary_frame
+from test_golden import case_dir
 
 
 def failures(report):
@@ -158,6 +163,78 @@ def test_rationality_target_reuses_audit(std6):
     w = find_counterexample(std6.problem, std6.oracle("table"),
                             "Ord", budget=100, seed=0)
     assert w is not None
+
+
+# -- witnesses replayed from the golden reports -------------------------------
+
+def golden_witnesses(cid: str) -> list[dict]:
+    """The witnesses of a recorded golden report: each failing result's
+    list for an audit, the one search witness for a counterexample."""
+    doc = json.loads((case_dir(cid) / "report.json").read_text("utf-8"))
+    if "results" in doc:
+        return [w for r in doc["results"] for w in r["witnesses"]]
+    return [doc["witness"]["witness"]]
+
+
+def decode_act(payload: dict, dim: int) -> PartialIsometryAct:
+    return PartialIsometryAct(
+        Subspace(decode_matrix(payload["domain_basis"], dim, "domain_basis")),
+        decode_matrix(payload["matrix"], dim, "matrix"))
+
+
+def decode_state(payload: dict, dim: int) -> StateVector:
+    return StateVector(decode_vector(payload["state"], dim, "state"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_irrev_witnesses_replay(overlap2, seed):
+    p = overlap2.problem
+    witnesses = [w for w in golden_witnesses(
+        f"audit-richness overlap2 seed={seed}") if "shared_macrostates" in w]
+    assert witnesses
+    for w in witnesses:
+        act = decode_act(w["act"], p.dim)
+        a, b = (smallest_event_ids(
+            p, restrict_act(act, p.macrostate(m).subspace)) for m in w["pair"])
+        assert sorted(a & b) == w["shared_macrostates"] != []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_branch_uniqueness_witness_replays(overlap2, seed):
+    p = overlap2.problem
+    w, = golden_witnesses(
+        f"counterexample orthmacr branch-uniqueness overlap2 seed={seed}")
+    found = _decompositions(p, decode_state(w, p.dim))
+    for listed in w["decompositions"]:
+        assert any(f.keys() == listed.keys()
+                   and max(abs(f[m] - listed[m]) for m in f) < SAME_NORMS_TOL
+                   for f in found), (listed, found)
+    a, b = w["decompositions"]
+    gap = max(abs(a.get(m, 0.0) - b.get(m, 0.0)) for m in a.keys() | b.keys())
+    assert gap == pytest.approx(w["norm_gap"], abs=SAME_NORMS_TOL)
+    assert gap > SEARCH_GAP
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equivalence_step_witness_replays(overlap2, seed):
+    p = overlap2.problem
+    w, = golden_witnesses(
+        f"counterexample orthmacr equivalence-step overlap2 seed={seed}")
+    act, psi = decode_act(w["act"], p.dim), decode_state(w, p.dim)
+    whole = born_weights(p, act.apply(psi))
+    blockwise = dict.fromkeys(p.reward_ids, 0.0)
+    for m in p.macrostates:
+        comp = project(m.subspace, psi)
+        if act.domain.contains_subspace(m.subspace) and comp.norm > TOL_ORTH:
+            img = restrict_act(act, m.subspace).apply(comp)
+            for rid in p.reward_ids:
+                blockwise[rid] += (
+                    project(p.reward_subspace(rid), img).norm ** 2)
+    assert whole == pytest.approx(w["whole_weights"], abs=1e-12)
+    assert blockwise == pytest.approx(w["blockwise_weights"], abs=1e-12)
+    gap = max(abs(whole[rid] - blockwise[rid]) for rid in p.reward_ids)
+    assert gap == pytest.approx(w["weight_gap"], abs=1e-12)
+    assert gap > SEARCH_GAP
 
 
 class CountingCalls:
