@@ -4,21 +4,10 @@ States, subspaces with their meet/join/complement lattice, orthogonal
 projection, and partial isometries (norm-preserving maps defined on a
 subspace).  Everything is immutable and pure.  Subspaces are stored as
 orthonormal bases but compared through projectors, which are gauge
-independent; bases are produced by pivoted Householder QR so identical
+independent; bases and complements come from numpy SVDs, so identical
 inputs always canonicalize identically.
-
-The pivoted QR calls LAPACK's `zgeqp3` and `zungqr` exactly as
-`scipy.linalg.qr(mode="economic", pivoting=True)` does, through scipy's
-compiled `_flapack` extension loaded by file path, so the `scipy`
-package itself is never imported; scipy stays a dependency as the
-supplier of LAPACK.  Complements use a numpy SVD.
 """
 from __future__ import annotations
-
-import functools
-import importlib.machinery
-import importlib.util
-import os
 
 import numpy as np
 
@@ -105,59 +94,20 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector(v)
 
 
-@functools.cache
-def _flapack():
-    """scipy's compiled LAPACK wrapper, loaded without `import scipy`.
-
-    Running `scipy/__init__.py` and `scipy.linalg` costs far more than
-    the two routines used here, so the extension file is loaded by path;
-    an installation laid out differently falls back to the package import.
-    """
-    name = "scipy.linalg._flapack"
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.origin is not None:
-        base = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            if os.path.isfile(base + suffix):
-                loader = importlib.machinery.ExtensionFileLoader(
-                    name, base + suffix)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_loader(name, loader))
-                loader.exec_module(module)
-                return module
-    from scipy.linalg import _flapack
-    return _flapack
-
-
-def _lapack_call(name: str, *args, **kwargs):
-    """One LAPACK call after an lwork=-1 size query, as scipy's `safecall`."""
-    routine = getattr(_flapack(), name)
-    lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
-    *out, _, info = routine(*args, lwork=lwork, **kwargs)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal "
-                         f"{name}")
-    return out
-
-
 def _orthonormal_columns(a: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     """Orthonormal basis of the column span, rank decided at `tol`.
 
-    Pivoted QR: deterministic for a fixed input matrix, and the pivot
-    ordering makes the rank cut stable when columns differ wildly in
-    norm.  Bit for bit the Q of `scipy.linalg.qr(a, mode="economic",
-    pivoting=True)`; the input array is never written to.
+    The leading left singular vectors of a reduced SVD, one for each
+    singular value above `tol`: deterministic for a fixed input matrix,
+    and the rank cut is stable when columns differ wildly in norm.  The
+    input array is never written to.
     """
     a = np.asarray_chkfinite(a, dtype=np.complex128)
-    d, k = a.shape
-    if k == 0:
+    if a.shape[1] == 0:
         return a.copy()
-    qr, _, tau = _lapack_call("zgeqp3", a)
-    # diag(qr) is R's diagonal; read it before zungqr overwrites qr
-    rank = int(np.sum(np.abs(np.diag(qr)) > tol))
-    q, = _lapack_call("zungqr", qr[:, :d] if d < k else qr, tau,
-                      overwrite_a=1)
-    return np.ascontiguousarray(q[:, :rank])
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    return np.ascontiguousarray(u[:, :rank])
 
 
 class Subspace:

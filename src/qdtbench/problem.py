@@ -117,7 +117,7 @@ class QuantumDecisionProblem:
 
     def event_of(self, mids: Iterable[str]) -> Subspace:
         """Join of the named macrostates (cached by the ids in the order
-        given, since the QR basis depends on the column order)."""
+        given, since the basis bits can depend on the column order)."""
         ids = tuple(mids)
         if ids not in self._events:
             if not ids:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdtbench.instances import haar_unitary
 from qdtbench.io import load_instance
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "qdtbench" / "fixtures"
@@ -62,7 +63,4 @@ def unitary_frame(kind: str, dim: int, rng) -> np.ndarray:
     of the standard basis ("axis")."""
     if kind == "axis":
         return np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    return haar_unitary(dim, rng)

@@ -401,16 +401,15 @@ def test_cli_backstop_turns_a_defect_into_one_error_line(monkeypatch,
 
 def test_cli_commands_never_import_the_scipy_package(tmp_path):
     # a fresh interpreter: this pytest process has already imported scipy.
-    # The pivoted QR loads scipy's compiled LAPACK wrapper by file path;
-    # that extension is the one scipy module a command may leave behind.
-    # Importing the CLI, the series commands and the usage errors load
-    # neither numpy nor the quantum layers.
+    # No command loads any scipy module.  Importing the CLI, the series
+    # commands and the usage errors load neither numpy nor the quantum
+    # layers.
     script = textwrap.dedent("""
         import sys
         from qdtbench import cli
 
-        def loaded(package):
-            return sorted(m for m in sys.modules if m.split(".")[0] == package)
+        def loaded(prefix):
+            return sorted(m for m in sys.modules if m.startswith(prefix))
 
         assert not loaded("numpy"), loaded("numpy")
         for argv, code in (
@@ -430,8 +429,7 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
         # every layer has run now (audit imports the rest); none loads scipy
         assert not loaded("scipy"), loaded("scipy")
         random_problem(0)
-        assert set(loaded("scipy")) <= {"scipy.linalg._flapack"}, (
-            loaded("scipy"))
+        assert not loaded("scipy"), loaded("scipy")
         for argv in (
                 ["validate", "std6"],
                 ["elicit", "min2"],
@@ -444,8 +442,7 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
                  "--axiom", "branch-uniqueness", "overlap2"],
                 ["classical-vnm", "--seed", "0", "--samples", "5", "min2"]):
             cli.main(argv)
-            assert loaded("scipy") == ["scipy.linalg._flapack"], (
-                argv, loaded("scipy"))
+            assert not loaded("scipy"), (argv, loaded("scipy"))
     """)
     src = str(Path(qdt_cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
