@@ -99,8 +99,7 @@ def _orthonormal_columns(a: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
 
     The leading left singular vectors of a reduced SVD, one for each
     singular value above `tol`: deterministic for a fixed input matrix,
-    and the rank cut is stable when columns differ wildly in norm.  The
-    input array is never written to.
+    and the input array is never written to.
     """
     a = np.asarray_chkfinite(a, dtype=np.complex128)
     if a.shape[1] == 0:
