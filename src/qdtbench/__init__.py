@@ -22,10 +22,10 @@ _EXPORTS = {
                 "reach_state", "smallest_event", "validate_problem"),
     "forge": ("ActForge", "compose_acts", "identity_act", "restrict_act"),
     "comparison": ("Comparison",),
-    "preference": ("BornOracle", "CountingOracle", "TableOracle",
-                   "UtilityTable", "elicit_utility", "expected_utility",
-                   "is_null_pair", "make_standard_act", "reduce_to_standard",
-                   "reward_order"),
+    "preference": ("BornOracle", "CountingOracle", "DefinitionalNullTest",
+                   "TableOracle", "UtilityTable", "elicit_utility",
+                   "expected_utility", "is_null_pair", "make_standard_act",
+                   "reduce_to_standard", "reward_order"),
     "audit": ("AuditReport", "audit_rationality", "audit_richness",
               "check_lemmas", "find_counterexample"),
     "branching": ("BranchTree", "born_deviation_norm", "coarse_grain_count",

@@ -1071,7 +1071,7 @@ def _nullity(run, t, rng):
         definitional = DefinitionalNullTest(
             phi, null_probe_catalog(p, support), run.oracle)
         for ids, event in events:
-            a = is_null_pair(p, event, phi, method="criterion")
+            a = is_null_pair(p, event, phi)
             b = definitional.is_null(event)
             t.check(a == b,
                     lambda: {"event": list(ids), "support": list(support),

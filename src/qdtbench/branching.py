@@ -43,7 +43,7 @@ def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
         raise WeightSumError("at least one branch weight required")
     if any(w <= 0 for w in ws):
         raise WeightSumError(f"branch weights must be positive, got {list(ws)}")
-    if abs(sum(ws) - 1.0) > WEIGHT_TOL:
+    if not abs(sum(ws) - 1.0) <= WEIGHT_TOL:
         raise WeightSumError(f"branch weights sum to {sum(ws)!r}, not 1")
     return ws
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
-from .comparison import (ELICIT_TOL, TIE_BAND, Comparison,
+from .comparison import (ELICIT_STEPS, ELICIT_TOL, TIE_BAND, Comparison,
                          bisect_indifference)
 from .errors import (MissingUtility, NonMonotoneOracle, NotEquipartition,
                      WeightSumError)
@@ -23,6 +23,13 @@ PROB_TOL = 1e-12
 #: refuse a Savage bracket over more cells than this; an oracle without
 #: a utility representation checks equipartition on n(n-1)/2 bet pairs
 CELLS_GUARD = 3_000
+
+
+def _check_sum(values: Iterable[float], what: str) -> None:
+    """Refuse values whose sum is not one within TIE_BAND, or is nan."""
+    total = sum(values)
+    if not abs(total - 1.0) <= TIE_BAND:
+        raise WeightSumError(f"{what} {total!r}")
 
 
 class Lottery:
@@ -45,9 +52,7 @@ class Lottery:
             if pr < -PROB_TOL:
                 raise WeightSumError(f"negative probability {pr} on {rid!r}")
             probs[str(rid)] = probs.get(str(rid), 0.0) + max(pr, 0.0)
-        total = sum(probs.values())
-        if abs(total - 1.0) > TIE_BAND:
-            raise WeightSumError(f"lottery probabilities sum to {total!r}")
+        _check_sum(probs.values(), "lottery probabilities sum to")
         self.probs = {k: probs[k] for k in sorted(probs) if probs[k] > 0.0}
 
     @classmethod
@@ -97,14 +102,13 @@ class PMEUOracle(LotteryOracle):
 
     name = "pmeu"
 
-    def __init__(self, utility: Mapping[str, float], tie: float = TIE_BAND):
+    def __init__(self, utility: Mapping[str, float]):
         self.utility = dict(utility)
-        self.tie = tie
 
     def compare(self, a: Lottery, b: Lottery) -> Comparison:
         ua = expected_utility_classical(a, self.utility)
         ub = expected_utility_classical(b, self.utility)
-        if abs(ua - ub) <= self.tie:
+        if abs(ua - ub) <= TIE_BAND:
             return Comparison.TIE
         return Comparison.BETTER if ua > ub else Comparison.WORSE
 
@@ -119,16 +123,15 @@ class LexicographicOracle(LotteryOracle):
 
     name = "lexicographic"
 
-    def __init__(self, priority: Sequence[str], tie: float = PROB_TOL):
+    def __init__(self, priority: Sequence[str]):
         if not priority:
             raise ValueError("need at least one tracked reward")
         self.priority = list(priority)
-        self.tie = tie
 
     def compare(self, a: Lottery, b: Lottery) -> Comparison:
         for rid in self.priority:
             d = a.prob(rid) - b.prob(rid)
-            if abs(d) > self.tie:
+            if abs(d) > PROB_TOL:
                 return Comparison.BETTER if d > 0 else Comparison.WORSE
         return Comparison.TIE
 
@@ -136,8 +139,7 @@ class LexicographicOracle(LotteryOracle):
 # -- elicitation -------------------------------------------------------------
 
 def vnm_elicit(oracle: LotteryOracle, rewards: Sequence[str], r0: str,
-               r1: str, tol: float = ELICIT_TOL, max_steps: int = 40
-               ) -> dict[str, float]:
+               r1: str, tol: float = ELICIT_TOL) -> dict[str, float]:
     """Utility of each reward from indifference against best/worst mixes.
 
     Bisects t in  t*delta(r1) + (1-t)*delta(r0)  against delta(r).
@@ -173,7 +175,7 @@ def vnm_elicit(oracle: LotteryOracle, rewards: Sequence[str], r0: str,
             values[rid] = 1.0
             continue
         lo, hi, u, _ = bisect_indifference(
-            lambda t: oracle.compare(standard(t), target), tol, max_steps)
+            lambda t: oracle.compare(standard(t), target), tol, ELICIT_STEPS)
         values[rid] = 0.5 * (lo + hi) if u is None else u
     return values
 
@@ -446,13 +448,10 @@ class PlantedMeasureOracle(ActOracle):
     """Expected utility under a hidden probability measure on states."""
 
     def __init__(self, measure: Mapping[str, float],
-                 utility: Mapping[str, float], tie: float = PROB_TOL):
-        total = sum(measure.values())
-        if not abs(total - 1.0) <= TIE_BAND:     # also rejects nan and inf
-            raise WeightSumError(f"state measure sums to {total!r}")
+                 utility: Mapping[str, float]):
+        _check_sum(measure.values(), "state measure sums to")
         self.measure = dict(measure)
         self.utility = dict(utility)
-        self.tie = tie
 
     def _eu(self, f: ClassicalAct) -> float:
         """The sum over f's states, in order, of measure times utility.
@@ -482,7 +481,7 @@ class PlantedMeasureOracle(ActOracle):
 
     def compare(self, f: ClassicalAct, g: ClassicalAct) -> Comparison:
         d = self._eu(f) - self._eu(g)
-        if abs(d) <= self.tie:
+        if abs(d) <= PROB_TOL:
             return Comparison.TIE
         return Comparison.BETTER if d > 0 else Comparison.WORSE
 
@@ -491,7 +490,7 @@ class PlantedMeasureOracle(ActOracle):
         """The pair scan's answer, decided from each act's value once
         when every pair ties.
 
-        `compare` ties when |fl(e_i - e_j)| <= tie.  Rounding to nearest
+        `compare` ties when |fl(e_i - e_j)| <= PROB_TOL.  Rounding to nearest
         is monotone and symmetric, so over finite floats the largest
         such gap is fl(max - min): every pair ties exactly when that
         one does.  Otherwise (a gap over the band, a non-finite or
@@ -505,7 +504,7 @@ class PlantedMeasureOracle(ActOracle):
             # the scan may meet an untied pair before this act
             return super().untied_pair(acts)
         if all(type(v) is float and math.isfinite(v) for v in values) and (
-                not values or max(values) - min(values) <= self.tie):
+                not values or max(values) - min(values) <= PROB_TOL):
             return None
         return super().untied_pair(acts)
 

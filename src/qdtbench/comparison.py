@@ -9,6 +9,8 @@ from typing import Callable
 TIE_BAND = 1e-9
 #: default bracket width at which utility elicitation stops bisecting
 ELICIT_TOL = 1e-6
+#: queries after which utility elicitation stops bisecting
+ELICIT_STEPS = 40
 
 
 class Comparison(enum.IntEnum):

@@ -23,7 +23,7 @@ from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, NormMismatch, NotSubevent,
                      OutsideDomain, WeightSumError, ZeroSubspace)
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
-                      TOL_ORTH, TOL_RANK, _orthonormal_columns)
+                      _orthonormal_columns)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
                       smallest_event_ids)
 
@@ -38,10 +38,9 @@ def identity_act(event: Subspace) -> PartialIsometryAct:
     return PartialIsometryAct(event, event.basis.copy())
 
 
-def restrict_act(act: PartialIsometryAct, sub: Subspace,
-                 tol: float = TOL_ORTH) -> PartialIsometryAct:
+def restrict_act(act: PartialIsometryAct, sub: Subspace) -> PartialIsometryAct:
     """The same act on a subevent of its domain."""
-    if not act.domain.contains_subspace(sub, tol):
+    if not act.domain.contains_subspace(sub):
         raise NotSubevent("restriction target is not inside the act's domain")
     if sub.is_zero:
         raise ZeroSubspace("cannot restrict an act to the zero subspace")
@@ -50,11 +49,10 @@ def restrict_act(act: PartialIsometryAct, sub: Subspace,
 
 
 def compose_acts(p: QuantumDecisionProblem, outer: PartialIsometryAct,
-                 inner: PartialIsometryAct,
-                 tol: float = TOL_ORTH) -> PartialIsometryAct:
+                 inner: PartialIsometryAct) -> PartialIsometryAct:
     """outer after inner; outer must be available on inner's smallest event."""
     event = p.event_of(sorted(smallest_event_ids(p, inner)))
-    if not outer.domain.contains_subspace(event, tol):
+    if not outer.domain.contains_subspace(event):
         raise DomainMismatch(
             "outer act is not defined on the inner act's smallest event")
     coords = outer.domain.basis.conj().T @ inner.matrix
@@ -350,7 +348,7 @@ class ActForge:
             for nid in conflict:
                 nmac = p.macrostate(nid)
                 comp = nmac.subspace.projector() @ mat
-                cbasis = _orthonormal_columns(comp, TOL_RANK)
+                cbasis = _orthonormal_columns(comp)
                 kn = cbasis.shape[1]
                 rid = p.reward_of_macrostate(nid)
                 r = p.reward(rid)

@@ -69,9 +69,9 @@ class StateVector:
             raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
         return StateVector._trusted(self.vec / n)
 
-    def allclose(self, other: "StateVector", tol: float = TOL_ORTH) -> bool:
+    def allclose(self, other: "StateVector") -> bool:
         self._check_dim(other)
-        return bool(np.linalg.norm(self.vec - other.vec) <= tol)
+        return bool(np.linalg.norm(self.vec - other.vec) <= TOL_ORTH)
 
     def _check_dim(self, other: "StateVector") -> None:
         if self.dim != other.dim:
@@ -94,18 +94,18 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector(v)
 
 
-def _orthonormal_columns(a: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided at `tol`.
+def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, rank decided at TOL_RANK.
 
     The leading left singular vectors of a reduced SVD, one for each
-    singular value above `tol`: deterministic for a fixed input matrix,
+    singular value above TOL_RANK: deterministic for a fixed input matrix,
     and the input array is never written to.
     """
     a = np.asarray_chkfinite(a, dtype=np.complex128)
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > TOL_RANK))
     return np.ascontiguousarray(u[:, :rank])
 
 
@@ -128,7 +128,7 @@ class Subspace:
             raise ValueError(f"{k} basis vectors cannot be independent in C^{d}")
         if k > 0:
             gram = b.conj().T @ b
-            if np.max(np.abs(gram - np.eye(k))) > TOL_ORTH:
+            if not np.max(np.abs(gram - np.eye(k))) <= TOL_ORTH:
                 raise ValueError("basis columns are not orthonormal; "
                                  "use orthonormalize() for raw spans")
         b.setflags(write=False)
@@ -168,30 +168,32 @@ class Subspace:
 
     # -- predicates -------------------------------------------------------
 
-    def contains(self, psi: StateVector, tol: float = TOL_ORTH) -> bool:
-        """Whether psi lies in the subspace up to a residual of norm tol."""
+    def contains(self, psi: StateVector) -> bool:
+        """Whether psi lies in the subspace up to a residual of TOL_ORTH."""
         if psi.dim != self.ambient_dim:
             raise DimensionMismatch(
                 f"state dim {psi.dim} vs ambient {self.ambient_dim}")
         residual = psi.vec - self.basis @ (self.basis.conj().T @ psi.vec)
-        return bool(np.linalg.norm(residual) <= tol)
+        return bool(np.linalg.norm(residual) <= TOL_ORTH)
 
-    def contains_subspace(self, other: "Subspace", tol: float = TOL_ORTH) -> bool:
+    def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if other.is_zero:
             return True
         res = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return bool(np.max(np.linalg.norm(res, axis=0)) <= tol)
+        return bool(np.max(np.linalg.norm(res, axis=0)) <= TOL_ORTH)
 
-    def equals(self, other: "Subspace", tol: float = TOL_ORTH) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return bool(np.max(np.abs(self.projector() - other.projector())) <= tol)
+        return bool(np.max(np.abs(self.projector() - other.projector()))
+                    <= TOL_ORTH)
 
-    def orthogonal_to(self, other: "Subspace", tol: float = TOL_ORTH) -> bool:
+    def orthogonal_to(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if self.is_zero or other.is_zero:
             return True
-        return bool(np.max(np.abs(self.basis.conj().T @ other.basis)) <= tol)
+        return bool(np.max(np.abs(self.basis.conj().T @ other.basis))
+                    <= TOL_ORTH)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -202,10 +204,10 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def orthonormalize(vectors, tol: float = TOL_RANK) -> Subspace:
+def orthonormalize(vectors) -> Subspace:
     """Subspace spanned by `vectors` (StateVectors or a d x k matrix).
 
-    Numerical rank is decided at `tol`; a list of dependent or zero
+    Numerical rank is decided at TOL_RANK; a list of dependent or zero
     vectors simply yields a lower-dimensional (possibly zero) subspace.
     """
     if isinstance(vectors, np.ndarray):
@@ -219,7 +221,7 @@ def orthonormalize(vectors, tol: float = TOL_RANK) -> Subspace:
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
         mat = np.column_stack([v.vec for v in vs])
-    return Subspace(_orthonormal_columns(mat, tol))
+    return Subspace(_orthonormal_columns(mat))
 
 
 def project(subspace: Subspace, psi: StateVector) -> StateVector:
@@ -285,7 +287,7 @@ class PartialIsometryAct:
                 f"({domain.ambient_dim} x {domain.dim})")
         gram = m.conj().T @ m
         defect = float(np.max(np.abs(gram - np.eye(domain.dim))))
-        if defect > TOL_ORTH:
+        if not defect <= TOL_ORTH:
             raise ValueError(
                 f"not an isometry: column gram defect {defect:.3e}")
         m.setflags(write=False)
@@ -293,15 +295,15 @@ class PartialIsometryAct:
         self.matrix = m
         self.label = label
 
-    def apply(self, psi: StateVector, tol: float = TOL_ORTH) -> StateVector:
-        """Image of psi; psi must lie in the domain up to `tol`."""
+    def apply(self, psi: StateVector) -> StateVector:
+        """Image of psi; psi must lie in the domain up to TOL_ORTH."""
         if psi.dim != self.domain.ambient_dim:
             raise DimensionMismatch(
                 f"state dim {psi.dim} vs ambient {self.domain.ambient_dim}")
         b = self.domain.basis
         coords = b.conj().T @ psi.vec
         residual = float(np.linalg.norm(psi.vec - b @ coords))
-        if residual > tol:
+        if residual > TOL_ORTH:
             raise OutsideDomain(
                 f"state lies {residual:.3e} outside the act's domain")
         return StateVector._trusted(self.matrix @ coords)
@@ -322,27 +324,26 @@ class PartialIsometryAct:
                 f"ambient={self.domain.ambient_dim}{tag})")
 
 
-def acts_equal(u: PartialIsometryAct, v: PartialIsometryAct,
-               tol: float = TOL_ORTH) -> bool:
+def acts_equal(u: PartialIsometryAct, v: PartialIsometryAct) -> bool:
     """Same domain (as a subspace) and same action on it."""
     if u.domain.ambient_dim != v.domain.ambient_dim:
         raise DimensionMismatch("acts live in different ambient spaces")
-    if not u.domain.equals(v.domain, tol):
+    if not u.domain.equals(v.domain):
         return False
-    return bool(np.max(np.abs(u.as_operator() - v.as_operator())) <= tol)
+    return bool(np.max(np.abs(u.as_operator() - v.as_operator())) <= TOL_ORTH)
 
 
 def acts_agree_on(u: PartialIsometryAct, v: PartialIsometryAct,
-                  sub: Subspace, tol: float = TOL_ORTH) -> bool:
+                  sub: Subspace) -> bool:
     """Whether u and v act identically on a common subspace of their domains."""
-    return sub.is_zero or vanishes_on(u.as_operator() - v.as_operator(), sub,
-                                      tol)
+    return sub.is_zero or vanishes_on(u.as_operator() - v.as_operator(),
+                                      sub)
 
 
-def vanishes_on(op: np.ndarray, sub: Subspace, tol: float = TOL_ORTH) -> bool:
+def vanishes_on(op: np.ndarray, sub: Subspace) -> bool:
     """Whether the ambient operator sends each basis vector of sub to
-    within tol of zero; for the difference of two acts, whether they
-    agree on sub."""
+    within TOL_ORTH of zero; for the difference of two acts, whether
+    they agree on sub."""
     if sub.is_zero:
         return True
-    return bool(np.max(np.linalg.norm(op @ sub.basis, axis=0)) <= tol)
+    return bool(np.max(np.linalg.norm(op @ sub.basis, axis=0)) <= TOL_ORTH)

@@ -10,6 +10,7 @@ documents that parse but describe no legal instance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +49,13 @@ def _number(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"{path}: expected a number, "
                           f"got {type(val).__name__}")
-    return float(val)
+    try:
+        x = float(val)
+    except OverflowError:           # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):        # json reads NaN, Infinity and 1e999
+        raise ValidationError(f"{path}: not a finite number")
+    return x
 
 
 def decode_complex(raw, path: str) -> complex:
@@ -101,7 +108,7 @@ def encode_matrix(m: np.ndarray) -> list:
 # -- acts -----------------------------------------------------------------
 
 def serialize_act(p: QuantumDecisionProblem, act: PartialIsometryAct,
-                  act_id: str | None = None) -> dict:
+                  act_id: str) -> dict:
     """Act as (id, domain event ids, matrix on the event's canonical basis).
 
     The act's domain must be a lattice event; the stored matrix is
@@ -115,7 +122,7 @@ def serialize_act(p: QuantumDecisionProblem, act: PartialIsometryAct,
     if not event.equals(act.domain):
         raise ValidationError(
             f"act {act.label!r}: domain is not a join of macrostates")
-    return {"id": act_id if act_id is not None else (act.label or ""),
+    return {"id": act_id,
             "domain": ids,
             "matrix": encode_matrix(act.as_operator() @ event.basis)}
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import (ELICIT_TOL, TIE_BAND, Comparison,
+from .comparison import (ELICIT_STEPS, ELICIT_TOL, TIE_BAND, Comparison,
                          bisect_indifference)
 from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
                      DomainMismatch, IntransitiveOracle, MissingUtility,
@@ -86,11 +86,11 @@ def expected_utility(p: QuantumDecisionProblem, psi: StateVector,
 
 def born_compare(p: QuantumDecisionProblem, psi: StateVector,
                  u_act: PartialIsometryAct, v_act: PartialIsometryAct,
-                 utility: UtilityTable, tie: float = TIE_BAND) -> Comparison:
-    """Three-way comparison by expected utility with a tie band."""
+                 utility: UtilityTable) -> Comparison:
+    """Three-way comparison by expected utility within TIE_BAND."""
     du = expected_utility(p, psi, u_act, utility)
     dv = expected_utility(p, psi, v_act, utility)
-    if abs(du - dv) <= tie:
+    if abs(du - dv) <= TIE_BAND:
         return Comparison.TIE
     return Comparison.BETTER if du > dv else Comparison.WORSE
 
@@ -117,14 +117,12 @@ class BornOracle(PreferenceOracle):
 
     name = "born"
 
-    def __init__(self, p: QuantumDecisionProblem, utility: UtilityTable,
-                 tie: float = TIE_BAND):
+    def __init__(self, p: QuantumDecisionProblem, utility: UtilityTable):
         self.p = p
         self.utility = utility
-        self.tie = tie
 
     def compare(self, psi, u_act, v_act) -> Comparison:
-        return born_compare(self.p, psi, u_act, v_act, self.utility, self.tie)
+        return born_compare(self.p, psi, u_act, v_act, self.utility)
 
 
 class CountingOracle(PreferenceOracle):
@@ -203,12 +201,12 @@ def standard_weight(p: QuantumDecisionProblem, psi: StateVector,
 
 
 def is_standard_act(p: QuantumDecisionProblem, psi: StateVector,
-                    act: PartialIsometryAct, tol: float = TOL_ORTH) -> bool:
+                    act: PartialIsometryAct) -> bool:
     """Whether the act sends psi into the span of the two anchor rewards."""
     phi = act.apply(psi.unit())
     anchors = p.event_of(sorted(set(p.reward(p.r0_id).members)
                                 | set(p.reward(p.r1_id).members)))
-    return anchors.contains(phi, tol=max(tol, TOL_ORTH))
+    return anchors.contains(phi)
 
 
 def reduce_to_standard(p: QuantumDecisionProblem, psi: StateVector,
@@ -285,8 +283,8 @@ def _probe_macrostate(p: QuantumDecisionProblem) -> str:
 
 
 def elicit_utility(p: QuantumDecisionProblem, oracle: PreferenceOracle,
-                   tol: float = ELICIT_TOL, probe: str | None = None,
-                   max_steps: int = 40) -> ElicitResult:
+                   tol: float = ELICIT_TOL,
+                   probe: str | None = None) -> ElicitResult:
     """Recover each reward's utility by bisecting against standard acts.
 
     For each reward r, compares the pure delivery of r with standard
@@ -336,7 +334,7 @@ def elicit_utility(p: QuantumDecisionProblem, oracle: PreferenceOracle,
             nsteps = 0
         else:
             lo, hi, u, nsteps = bisect_indifference(
-                lambda t: compare_at(t, r.id), tol, max_steps)
+                lambda t: compare_at(t, r.id), tol, ELICIT_STEPS)
             if u is None:
                 u = 0.5 * (lo + hi)
         # cheap non-monotonicity screen around the reported value
@@ -422,31 +420,19 @@ def accessible_compare(p: QuantumDecisionProblem, acc: AccessibleState,
 
 # -- null pairs ---------------------------------------------------------------------
 
-def is_null_pair(p: QuantumDecisionProblem, event: Subspace, phi: StateVector,
-                 method: str = "criterion",
-                 catalog: Sequence[PartialIsometryAct] | None = None,
-                 oracle: PreferenceOracle | None = None) -> bool:
-    """Whether the event carries no decision weight at phi.
-
-    method="criterion": the projection of phi onto the event is
-    numerically zero.  method="definitional": no pair of catalog acts
-    that agree outside the event is ranked strictly by the oracle at
-    phi.  The definitional route quantifies only over the supplied
-    catalog, which is the finite stand-in for "all available acts".
-    """
-    if method == "criterion":
-        return project(event, phi.unit()).norm <= TOL_ORTH
-    if method != "definitional":
-        raise ValueError(f"unknown null-pair method {method!r}")
-    if catalog is None or oracle is None:
-        raise ValueError("definitional method needs a catalog and an oracle")
-    return DefinitionalNullTest(phi, catalog, oracle).is_null(event)
+def is_null_pair(p: QuantumDecisionProblem, event: Subspace,
+                 phi: StateVector) -> bool:
+    """The geometric null criterion: the event carries no decision
+    weight at phi when the projection of phi onto it is numerically
+    zero.  DefinitionalNullTest is the test from the definition."""
+    return project(event, phi.unit()).norm <= TOL_ORTH
 
 
 class DefinitionalNullTest:
     """The definitional null test at one state over one catalog: an
     event is null when no pair of catalog acts that agree outside it is
-    ranked strictly by the oracle at phi.
+    ranked strictly by the oracle at phi.  It quantifies only over the
+    catalog, the finite stand-in for "all available acts".
 
     The usable acts, their same-domain pairs with their operator
     differences, and the pair cap depend only on (phi, catalog), so they

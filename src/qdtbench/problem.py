@@ -10,7 +10,7 @@ an act's image.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,12 +107,11 @@ class QuantumDecisionProblem:
         return self._reward_of_macro[mid]
 
     def reward_subspace(self, rid: str) -> Subspace:
-        """Join of the reward's member macrostates (cached)."""
+        """Join of the reward's member macrostates (cached by reward, so
+        the hot path skips event_of's tuple key)."""
         if rid not in self._reward_spaces:
-            r = self._reward_by_id[rid]
-            cols = np.hstack([self._macro_by_id[m].subspace.basis
-                              for m in r.members])
-            self._reward_spaces[rid] = Subspace(_orthonormal_columns(cols))
+            self._reward_spaces[rid] = self.event_of(
+                self._reward_by_id[rid].members)
         return self._reward_spaces[rid]
 
     def event_of(self, mids: Iterable[str]) -> Subspace:

@@ -27,8 +27,9 @@ from qdtbench.hilbert import (PartialIsometryAct, StateVector, Subspace,
                               complement, join, meet, orthonormalize, project)
 from qdtbench.instances import random_problem
 from qdtbench.problem import born_weights
-from qdtbench.preference import (BornOracle, elicit_utility,
-                                 expected_utility, born_compare,
+from qdtbench.preference import (BornOracle, DefinitionalNullTest,
+                                 elicit_utility, expected_utility,
+                                 born_compare,
                                  is_null_pair, make_standard_act,
                                  reduce_to_standard, standard_weight)
 
@@ -183,13 +184,12 @@ def test_nullity_criterion_vs_definition_exhaustive():
                      * np.exp(1j * rng.uniform(0, 2 * np.pi))
                      for m in support]
             phi = StateVector(np.sum(parts, axis=0) / np.sqrt(len(parts)))
-            catalog = null_probe_catalog(p, support)
+            definitional = DefinitionalNullTest(
+                phi, null_probe_catalog(p, support), oracle)
             for event in events:
-                a = is_null_pair(p, event, phi, method="criterion")
-                b = is_null_pair(p, event, phi, method="definitional",
-                                 catalog=catalog, oracle=oracle)
                 total += 1
-                bad += a != b
+                bad += (is_null_pair(p, event, phi)
+                        != definitional.is_null(event))
     verdict("nullity", bad, total, "exhaustive over all lattice events")
 
 
@@ -302,7 +302,7 @@ def test_richness_constructions():
     psi2 = StateVector(p.macrostate(m2).subspace.basis[:, 0])
     e1, e2 = forge.erasure_pair(psi1, psi2)
     total += 1
-    bad += not e1.apply(psi1).allclose(e2.apply(psi2), tol=1e-9)
+    bad += not e1.apply(psi1).allclose(e2.apply(psi2))
     total += 1
     try:
         ActForge(p).erasure_pair(psi1, StateVector(0.9 * psi2.vec))
@@ -386,11 +386,10 @@ def test_lattice_laws():
             a, b = random_sub(rng, dim), random_sub(rng, dim)
             total += 1
             bad += not complement(join(a, b)).equals(
-                meet(complement(a), complement(b)), tol=1e-9)
+                meet(complement(a), complement(b)))
             big = join(a, b)
             total += 1
-            bad += not big.equals(
-                join(a, meet(big, complement(a))), tol=1e-9)
+            bad += not big.equals(join(a, meet(big, complement(a))))
     verdict("lattice-laws", bad, total)
 
 

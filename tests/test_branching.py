@@ -19,7 +19,8 @@ from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
                                 TREE_GUARD, BranchTree, born_deviation_norm,
                                 check_series_cost, check_sweep_cost,
                                 coarse_grain_count, counting_frequencies,
-                                grow, modal_count_vector, tree_words)
+                                _check_weights, grow, modal_count_vector,
+                                tree_words)
 from qdtbench.errors import SeriesTooLarge, WeightSumError
 
 
@@ -109,6 +110,13 @@ def test_grow_walks_more_outcomes_than_the_recursion_limit():
     assert len(tree.nodes) == k and tree.leaf_count() == k
     assert next(iter(tree.nodes)) == (0,) * (k - 1) + (1,)
     assert list(grow(weights, 0).nodes.items()) == [((0,) * k, 1)]
+
+
+def test_weight_check_rejects_nan():
+    with pytest.raises(WeightSumError, match="sum to nan"):
+        _check_weights([math.nan, 1.0])
+    with pytest.raises(WeightSumError, match="sum to nan"):
+        born_deviation_norm((math.nan, 0.5), 3, 0.1)
 
 
 def test_grow_guards():

@@ -36,6 +36,13 @@ def test_lottery_merges_and_validates():
         Lottery({"a": -0.1, "b": 1.1})
 
 
+def test_lottery_sum_check_rejects_nan():
+    for probs in ({"a": math.nan}, {"a": math.nan, "b": 1.0}):
+        with pytest.raises(WeightSumError,
+                           match="lottery probabilities sum to nan"):
+            Lottery(probs)
+
+
 def test_mix_is_convex_combination():
     a = Lottery({"x": 1.0})
     b = Lottery({"y": 1.0})
@@ -345,11 +352,11 @@ class TallyingOracle(PlantedMeasureOracle):
         return super().compare(f, g)
 
 
-def _same_as_scan(measure, utility, states, cells, tie=PROB_TOL):
+def _same_as_scan(measure, utility, states, cells):
     """The one-pass answer, checked against the pair scan's; a tie is
     decided without a single compare."""
-    one_pass = TallyingOracle(measure, utility, tie)
-    scan = ScanningOracle(measure, utility, tie)
+    one_pass = TallyingOracle(measure, utility)
+    scan = ScanningOracle(measure, utility)
     probes = [ClassicalAct.bet(states, c, "win", "lose") for c in cells]
     got = one_pass.untied_pair(probes)
     assert got == scan.untied_pair(probes)
@@ -383,11 +390,15 @@ def test_one_pass_equipartition_edge_cases():
     cells = [["s0"], ["s1"], ["s2"]]
     measure = {"s0": 0.3, "s1": 0.3, "s2": 0.4}
     unit = {"win": 1.0, "lose": 0.0}
-    gap = 0.4 - 0.3
-    # a range exactly at the band ties; one ulp over it does not
-    assert _same_as_scan(measure, unit, states, cells, tie=gap) is None
-    assert _same_as_scan(measure, unit, states, cells,
-                         tie=math.nextafter(gap, 0.0)) == (0, 2)
+    # bets worth exactly PROB_TOL, PROB_TOL and 2 * PROB_TOL: a range
+    # exactly at the band ties; one ulp over it does not
+    quarters = {"s0": 0.25, "s1": 0.25, "s2": 0.5}
+    edge = 4 * PROB_TOL
+    assert _same_as_scan(quarters, {"win": edge, "lose": 0.0}, states,
+                         cells) is None
+    assert _same_as_scan(quarters,
+                         {"win": math.nextafter(edge, math.inf),
+                          "lose": 0.0}, states, cells) == (0, 2)
     # non-finite values: the scan decides (inf - inf is nan, no tie)
     for bad in (math.inf, -math.inf, math.nan):
         for utility in ({"win": bad, "lose": 0.0}, {"win": 1.0, "lose": bad}):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench.errors import (CannotOrthogonalize, DomainMismatch,
-                             InsufficientDimension, NormMismatch, NotSubevent)
+                             InsufficientDimension, NormMismatch, NotSubevent,
+                             WeightSumError)
 from qdtbench.forge import ActForge, compose_acts, identity_act, restrict_act
 from qdtbench.hilbert import StateVector, acts_agree_on, project
 from qdtbench.problem import born_weights
@@ -105,6 +106,13 @@ def test_weighted_act_hits_requested_reward_weights(std6):
         assert got[rid] == pytest.approx(w, abs=TOL)
 
 
+def test_weighted_act_refuses_a_nan_weight(std6):
+    p = std6.problem
+    psi = StateVector(p.macrostate("m0").subspace.basis[:, 0])
+    with pytest.raises(WeightSumError, match="sum to nan"):
+        ActForge(p).weighted_act(psi, {"r0": np.nan, "r1": 1.0})
+
+
 # -- erasure ------------------------------------------------------------------
 
 def test_erasure_pair_merges_states(std6):
@@ -146,7 +154,7 @@ def test_compat_combine_restricts_to_blocks(std6):
     combined = forge.compat_combine(blocks)
     for mac_id, block in zip(("m0", "m2", "m4"), combined.blocks):
         sub = p.macrostate(mac_id).subspace
-        assert acts_agree_on(combined.act, block, sub, tol=TOL)
+        assert acts_agree_on(combined.act, block, sub)
 
 
 def test_compat_combine_retargets_shared_images(std6):
@@ -184,7 +192,7 @@ def test_restrict_act_agrees_on_subdomain(std6):
     # restriction of a two-macrostate identity to one macrostate
     whole = identity_act(p.event_of(["m0", "m1"]))
     part = restrict_act(whole, p.macrostate("m0").subspace)
-    assert acts_agree_on(whole, part, p.macrostate("m0").subspace, tol=TOL)
+    assert acts_agree_on(whole, part, p.macrostate("m0").subspace)
 
 
 def test_compose_acts_is_matrix_composition(std6):

@@ -201,7 +201,18 @@ def test_orthonormal_columns_rejects_non_finite_input(bad):
         orthonormalize(a)
 
 
+def test_subspace_orthonormality_check_rejects_nan():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace([[np.nan], [0.0]])
+
+
 # -- partial isometries -------------------------------------------------------
+
+def test_isometry_check_rejects_nan():
+    dom = Subspace(np.eye(2, dtype=complex)[:, :1])
+    with pytest.raises(ValueError, match="gram defect nan"):
+        PartialIsometryAct(dom, [[np.nan], [0.0]])
+
 
 def test_isometry_validation_rejects_contractions():
     dom = Subspace(np.eye(2, dtype=complex))

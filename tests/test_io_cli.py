@@ -6,12 +6,14 @@ exit-code split.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,38 @@ def test_cli_validate_flags_broken_instance(tmp_path):
     path.write_text(json.dumps(doc))
     res = cli("validate", str(path))
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("token",
+                         ["NaN", "Infinity", "1e999", "1" + "0" * 400])
+@pytest.mark.parametrize("name, keys, path", [
+    ("min2", ("macrostates", 0, "basis", 0, 0, 0),
+     "$.macrostates[0].basis[0][0][0]"),
+    ("std6", ("acts", 0, "matrix", 0, 0, 0), "$.acts[0].matrix[0][0][0]"),
+    ("std6", ("utility", "rA"), "$.utility.rA"),
+])
+def test_cli_refuses_non_finite_numbers(name, keys, path, token, tmp_path,
+                                        capsys):
+    # json reads each token (the last as an int past the float range);
+    # each is refused at its path before numpy meets it (a numpy warning
+    # turned error would show as an internal error)
+    doc = _doc(name)
+    slot = doc
+    for key in keys[:-1]:
+        slot = slot[key]
+    slot[keys[-1]] = "@@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@@"', token))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qdt_cli.main(["validate", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "INVALID" in out
+        assert f"{path}: not a finite number" in out
+        assert qdt_cli.main(["audit-richness", "--seed", "0", str(bad)]) == 2
+        out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid instance: {path}: not a finite number\n"
 
 
 def test_cli_missing_seed_is_usage_error():
@@ -468,3 +502,31 @@ def test_package_names_resolve_lazily_to_their_home_objects():
         qdtbench.no_such_name
     assert preference.Comparison is classical.Comparison
     assert preference.TIE_BAND is classical.TIE_BAND
+
+
+def test_no_call_overrides_a_tolerance():
+    # each decision reads its one named tolerance; only the elicitation
+    # bracket width, which `qdt elicit --tol` sets, is an argument
+    from qdtbench import classical, comparison, forge, hilbert, preference
+    knobs = {"tol", "tie", "max_steps", "method"}
+    exempt = {"elicit_utility.tol", "vnm_elicit.tol"}
+    found = []
+    for mod in (hilbert, forge, comparison, preference, classical):
+        funcs = []
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                funcs.append(obj)
+            elif inspect.isclass(obj):
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)
+                    if inspect.isfunction(attr):
+                        funcs.append(attr)
+        for f in funcs:
+            for param in inspect.signature(f).parameters.values():
+                key = f"{f.__qualname__}.{param.name}"
+                if (param.name in knobs and key not in exempt
+                        and param.default is not param.empty):
+                    found.append(f"{mod.__name__}.{key}")
+    assert found == []

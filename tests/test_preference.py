@@ -150,9 +150,9 @@ def test_reward_order_tiers(std6):
 def test_null_criterion_on_disjoint_event(std6):
     p = std6.problem
     phi = probe_state(p, "m0")
-    assert is_null_pair(p, p.event_of(["m4"]), phi, method="criterion")
-    assert not is_null_pair(p, p.event_of(["m0"]), phi, method="criterion")
-    assert is_null_pair(p, p.event_of([]), phi, method="criterion")
+    assert is_null_pair(p, p.event_of(["m4"]), phi)
+    assert not is_null_pair(p, p.event_of(["m0"]), phi)
+    assert is_null_pair(p, p.event_of([]), phi)
 
 
 def test_null_definitional_agrees_on_single_support(std6):
@@ -162,9 +162,8 @@ def test_null_definitional_agrees_on_single_support(std6):
     catalog = null_probe_catalog(p, ("m0",))
     for ids in ((), ("m0",), ("m4",), ("m0", "m4")):
         event = p.event_of(list(ids))
-        a = is_null_pair(p, event, phi, method="criterion")
-        b = is_null_pair(p, event, phi, method="definitional",
-                         catalog=catalog, oracle=oracle)
+        a = is_null_pair(p, event, phi)
+        b = DefinitionalNullTest(phi, catalog, oracle).is_null(event)
         assert a == b, ids
 
 
@@ -185,9 +184,8 @@ def test_null_regression_support_covering_best_reward(std6):
     phi = StateVector(vec)
     catalog = null_probe_catalog(p, support)
     event = p.event_of(["m1"])
-    assert not is_null_pair(p, event, phi, method="criterion")
-    assert not is_null_pair(p, event, phi, method="definitional",
-                            catalog=catalog, oracle=oracle)
+    assert not is_null_pair(p, event, phi)
+    assert not DefinitionalNullTest(phi, catalog, oracle).is_null(event)
 
 
 @pytest.mark.parametrize("ids", [("m4",), ("m0",), ()])
@@ -205,9 +203,9 @@ def test_definitional_null_test_meets_once(std6, ids, monkeypatch):
     monkeypatch.setattr(preference, "meet", counted_meet)
     catalog = null_probe_catalog(p, ("m0",))
     assert len(catalog) > 2
-    is_null_pair(p, p.event_of(list(ids)), probe_state(p, "m0"),
-                 method="definitional", catalog=catalog,
-                 oracle=BornOracle(p, std6.utility))
+    DefinitionalNullTest(probe_state(p, "m0"), catalog,
+                         BornOracle(p, std6.utility)).is_null(
+        p.event_of(list(ids)))
     assert len(calls) <= 1
 
 
@@ -261,9 +259,8 @@ def test_definitional_null_test_matches_per_event_calls(std6):
     test = DefinitionalNullTest(phi, catalog, oracle)
     for ids in ((), ("m0",), ("m4",), ("m1",), ("m0", "m4"), ("m0",)):
         event = p.event_of(list(ids))
-        assert test.is_null(event) == is_null_pair(
-            p, event, phi, method="definitional", catalog=catalog,
-            oracle=oracle), ids
+        assert test.is_null(event) == DefinitionalNullTest(
+            phi, catalog, oracle).is_null(event), ids
 
 
 def test_event_of_is_cached_by_id_tuple(std6):
