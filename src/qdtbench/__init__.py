@@ -28,8 +28,8 @@ _EXPORTS = {
                    "reduce_to_standard", "reward_order"),
     "audit": ("AuditReport", "audit_rationality", "audit_richness",
               "check_lemmas", "find_counterexample"),
-    "branching": ("BranchTree", "born_deviation_norm", "coarse_grain_count",
-                  "counting_frequencies", "grow", "modal_count_vector"),
+    "branching": ("born_deviation_norm", "coarse_grain_count",
+                  "counting_frequencies", "modal_count_vector"),
     "classical": ("ClassicalAct", "LexicographicOracle", "Lottery",
                   "PMEUOracle", "PlantedMeasureOracle", "check_vnm_axioms",
                   "mix", "savage_probability", "vnm_elicit"),

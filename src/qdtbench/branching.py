@@ -1,9 +1,9 @@
 """Iterated branching at desk scale.
 
 A depth-n, k-outcome branching process has k^n leaves; we aggregate them
-by outcome-count vector, which keeps the representation polynomial in n.
-`grow` stores the count vectors; the coarse-grained sweep walks them
-once and stores none.
+by outcome-count vector, of which there are polynomially many in n.  The
+coarse-grained sweep walks the count vectors once and stores none; the
+counting measure's modal vector has a closed form and walks none.
 Multiplicities are exact big integers; per-leaf squared amplitudes are
 products of the branch weights.  The deviation norm evaluates masses
 (multiplicity x squared amplitude) in log space, so no product
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -21,12 +20,12 @@ from typing import Sequence
 from .errors import SeriesTooLarge, WeightSumError
 
 WEIGHT_TOL = 1e-12
-#: refuse to grow or weigh more branching rounds than this; at k = 2 a
+#: refuse to walk or weigh more branching rounds than this; at k = 2 a
 #: leaf count 2^n then stays within Python's 4,300-digit int-to-str limit
 DEPTH_GUARD = 10_000
-#: refuse to grow a tree of more 64-bit words than `tree_words` counts;
-#: the sweep stores no tree, but its walk keeps this bound so that what
-#: it refuses does not change
+#: refuse to walk a tree that would take more 64-bit words than
+#: `tree_words` counts; no tree is stored, but the walk keeps this bound
+#: so that what it refuses does not change
 TREE_GUARD = 4_000_000
 #: refuse to weigh more branching rounds than this in one series, each
 #: depth counted with 10 more for its fixed cost
@@ -80,33 +79,12 @@ def check_sweep_cost(k: int, depth: int, thresholds: int) -> None:
     tree per threshold."""
     _check_depth(depth)
     if k < 1 or depth < 0:
-        return                      # grow names what is wrong
+        return                      # coarse_grain_count names what is wrong
     words = thresholds * (tree_words(k, depth) + 64)
     if words > SWEEP_GUARD:
         raise SeriesTooLarge(f"{thresholds} thresholds over a tree of {k} "
                              f"outcomes at depth {depth} read more than "
                              f"{SWEEP_GUARD} words (the sweep guard)")
-
-
-@dataclass(frozen=True)
-class BranchTree:
-    """Aggregated outcome of n rounds of k-way branching.
-
-    nodes maps a count vector to its exact leaf multiplicity.  Each leaf
-    with counts c has squared amplitude prod_j w_j^c_j, whose log is
-    `node_log_amp2`.
-    """
-    k: int
-    weights: tuple[float, ...]
-    depth: int
-    nodes: dict[tuple[int, ...], int]
-
-    def node_log_amp2(self, counts: tuple[int, ...]) -> float:
-        """log of the per-leaf squared amplitude at this count vector."""
-        return sum(c * math.log(w) for c, w in zip(counts, self.weights))
-
-    def leaf_count(self) -> int:
-        return sum(self.nodes.values())
 
 
 def _check_tree(weights: Sequence[float], depth: int) -> tuple[float, ...]:
@@ -122,19 +100,6 @@ def _check_tree(weights: Sequence[float], depth: int) -> tuple[float, ...]:
             f"{k} outcomes at depth {depth} give a tree of more than "
             f"{TREE_GUARD} words (the tree guard)")
     return ws
-
-
-def grow(weights: Sequence[float], depth: int) -> BranchTree:
-    """Branch `depth` times with the given per-outcome weights."""
-    ws = _check_tree(weights, depth)
-    k = len(ws)
-    nodes = {(depth,): 1} if k == 1 else {}
-    for prefix, rest, mult in _count_rows(depth, k):
-        binom = 1
-        for c in range(rest + 1):
-            nodes[prefix + (c, rest - c)] = mult * binom
-            binom = binom * (rest - c) // (c + 1)
-    return BranchTree(k=k, weights=ws, depth=depth, nodes=nodes)
 
 
 def _count_rows(depth: int, k: int):
@@ -164,28 +129,25 @@ def _count_rows(depth: int, k: int):
         stack += reversed(children)
 
 
-def modal_count_vector(tree: BranchTree) -> tuple[int, ...]:
-    """The most numerous count vector.
+def modal_count_vector(k: int, depth: int) -> tuple[int, ...]:
+    """The most numerous count vector of k outcomes over depth rounds.
 
-    Multiplicities are compared exactly; ties resolve to the
-    lexicographically smallest count vector.  Because multiplicities are
-    pure multinomial coefficients, the modal vector is as balanced as
-    the depth allows, independent of the branch weights.
+    Its multiplicity, a multinomial coefficient, is largest where the
+    counts are as balanced as the depth allows, whatever the branch
+    weights: q = depth // k each, and q + 1 on r = depth mod k of them.
+    Ties resolve to the lexicographically smallest such vector, the
+    larger counts last.
     """
-    if tree.depth < 1:
-        raise ValueError("modal vector needs at least one branching round")
-    best = None
-    best_mult = -1
-    for counts in sorted(tree.nodes):
-        mult = tree.nodes[counts]
-        if mult > best_mult:
-            best, best_mult = counts, mult
-    return best
+    if k < 1 or depth < 1:
+        raise ValueError("modal vector needs at least one outcome and one "
+                         "branching round")
+    q, r = divmod(depth, k)
+    return (q,) * (k - r) + (q + 1,) * r
 
 
-def counting_frequencies(tree: BranchTree) -> tuple[float, ...]:
+def counting_frequencies(k: int, depth: int) -> tuple[float, ...]:
     """Outcome frequencies of the modal count vector."""
-    return tuple(c / tree.depth for c in modal_count_vector(tree))
+    return tuple(c / depth for c in modal_count_vector(k, depth))
 
 
 def born_deviation_norm(weights: Sequence[float], depth: int,
@@ -204,8 +166,10 @@ def born_deviation_norm(weights: Sequence[float], depth: int,
         raise ValueError("deviation norm is defined for two outcomes")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("deviation threshold must be nonnegative")
+    if eps == math.inf:
+        raise ValueError("deviation threshold must be finite")
     _check_depth(depth)
     w1, w2 = ws
     lw1, lw2 = math.log(w1), math.log(w2)
@@ -228,14 +192,14 @@ def coarse_grain_count(weights: Sequence[float], depth: int,
     exceeds each threshold, in the order given.
 
     One pass over the count vectors, none stored: each vector's log
-    amplitude is taken once, as `BranchTree.node_log_amp2` sums it, and
-    set against every threshold.  theta = 0 counts every leaf (k^depth
-    of them); the count collapses as theta crosses the amplitude scales,
-    which is the instability this diagnostic is meant to exhibit.
+    amplitude, sum_j c_j log w_j, is taken once and set against every
+    threshold.  theta = 0 counts every leaf (k^depth of them); the count
+    collapses as theta crosses the amplitude scales, which is the
+    instability this diagnostic is meant to exhibit.
     The tree guard still applies, so what is refused does not change.
     """
     ws = _check_tree(weights, depth)
-    if any(theta < 0 for theta in thetas):
+    if not all(theta >= 0 for theta in thetas):
         raise ValueError("grain threshold must be nonnegative")
     k = len(ws)
     # distinct log thresholds, ascending: a vector of log amplitude a
@@ -243,8 +207,7 @@ def coarse_grain_count(weights: Sequence[float], depth: int,
     cuts = sorted({math.log(theta) for theta in thetas if theta != 0.0})
     above = [0] * (len(cuts) + 1)   # leaves by how many cuts they pass
     if cuts:
-        # the products node_log_amp2 sums, in its order, with the logs
-        # taken once
+        # sum_j c_j log w_j, summed in j order, with the logs taken once
         log_w = [math.log(w) for w in ws]
         if k == 1:
             above[bisect_left(cuts, sum(map(mul, (depth,), log_w)))] = 1

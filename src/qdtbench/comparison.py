@@ -34,6 +34,8 @@ def bisect_indifference(compare: Callable[[float], Comparison], tol: float,
     after max_steps queries.  Returns (lo, hi, tie, steps), where tie is
     the weight that tied, or None.
     """
+    if not tol >= 0:
+        raise ValueError(f"bracket width must be nonnegative, got {tol!r}")
     lo, hi, steps = 0.0, 1.0, 0
     while hi - lo > tol and steps < max_steps:
         mid = 0.5 * (lo + hi)

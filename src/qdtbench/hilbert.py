@@ -85,15 +85,6 @@ class StateVector:
         return f"StateVector(dim={self.dim}, norm={self.norm:.6g})"
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """The standard basis vector e_index of C^dim."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} outside [0, {dim})")
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return StateVector(v)
-
-
 def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank decided at TOL_RANK.
 

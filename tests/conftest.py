@@ -1,3 +1,5 @@
+import itertools
+import math
 import shutil
 import subprocess
 import sys
@@ -64,3 +66,19 @@ def unitary_frame(kind: str, dim: int, rng) -> np.ndarray:
     if kind == "axis":
         return np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
     return haar_unitary(dim, rng)
+
+
+def reference_nodes(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Count vector -> leaf multiplicity of the depth-n, k-outcome tree,
+    in lexicographic order, from itertools.combinations (stars and bars)
+    and a math.comb per count."""
+    nodes = {}
+    for cuts in itertools.combinations(range(n + k - 1), k - 1):
+        bounds = (-1,) + cuts + (n + k - 1,)
+        counts = tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+        mult, rest = 1, n
+        for c in counts[:-1]:
+            mult *= math.comb(rest, c)
+            rest -= c
+        nodes[counts] = mult
+    return nodes

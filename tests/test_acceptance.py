@@ -18,7 +18,7 @@ import pytest
 from qdtbench import audit as audit_mod
 from qdtbench.audit import (discriminable_support, null_probe_catalog,
                             random_state_in, random_weights)
-from qdtbench.branching import born_deviation_norm, grow, modal_count_vector
+from qdtbench.branching import born_deviation_norm, modal_count_vector
 from qdtbench import classical as cls
 from qdtbench.comparison import TIE_BAND, Comparison
 from qdtbench.errors import NormMismatch, QdtError
@@ -33,7 +33,8 @@ from qdtbench.preference import (BornOracle, DefinitionalNullTest,
                                  is_null_pair, make_standard_act,
                                  reduce_to_standard, standard_weight)
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, cli, load_fixture
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, cli, load_fixture,
+                      reference_nodes)
 
 BETTER, TIE, WORSE = Comparison.BETTER, Comparison.TIE, Comparison.WORSE
 
@@ -348,17 +349,22 @@ def test_deviation_trend_against_exact_tail():
 # 10. Branch counting ignores weights: the modal pattern is uniform.
 def test_counting_measure_invariance():
     bad = total = 0
-    for depth in (30, 32):
-        a = modal_count_vector(grow((0.5, 0.5), depth))
-        b = modal_count_vector(grow((0.1, 0.9), depth))
-        total += 1
-        bad += not (a == b == (depth // 2, depth // 2))
-    for depth in (30, 33):
-        a = modal_count_vector(grow((0.2, 0.3, 0.5), depth))
-        third = (1 / 3, 1 / 3, 1 / 3)
-        b = modal_count_vector(grow(third, depth))
-        total += 1
-        bad += not (a == b == (depth // 3,) * 3)
+    for weightings, depths in ((((0.5, 0.5), (0.1, 0.9)), (30, 32)),
+                               (((1 / 3,) * 3, (0.2, 0.3, 0.5)), (30, 33))):
+        k = len(weightings[0])
+        for depth in depths:
+            nodes = reference_nodes(depth, k)
+            # a count vector's counting measure is its leaf count under
+            # either weighting; its Born measure weighs each leaf by its
+            # squared amplitude, so the skewed weighting moves its mode
+            counting = max(sorted(nodes), key=nodes.get)
+            born = [max(sorted(nodes),
+                        key=lambda c: math.log(nodes[c]) + sum(
+                            ci * math.log(wi) for ci, wi in zip(c, w)))
+                    for w in weightings]
+            total += 1
+            bad += not (counting == modal_count_vector(k, depth) == born[0]
+                        == (depth // k,) * k != born[1])
     verdict("counting-invariance", bad, total)
 
 

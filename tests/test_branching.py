@@ -1,4 +1,4 @@
-"""Branching-tree bookkeeping versus independent combinatorics.
+"""Branching-series kernels versus independent combinatorics.
 
 The deviation-mass oracle below recomputes binomial tails with exact
 integer arithmetic, so float drift in the implementation under test
@@ -15,13 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtbench import branching
 from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
-                                TREE_GUARD, BranchTree, born_deviation_norm,
+                                TREE_GUARD, born_deviation_norm,
                                 check_series_cost, check_sweep_cost,
                                 coarse_grain_count, counting_frequencies,
-                                _check_weights, grow, modal_count_vector,
-                                tree_words)
+                                _check_weights, _count_rows,
+                                modal_count_vector, tree_words)
+from qdtbench.classical import PMEUOracle, vnm_elicit
 from qdtbench.errors import SeriesTooLarge, WeightSumError
+from qdtbench.preference import BornOracle, elicit_utility
+
+from conftest import reference_nodes
 
 
 def exact_binomial_deviation(n: int, eps: float) -> float:
@@ -46,37 +51,60 @@ def reference_deviation_norm(weights, n, eps):
     return float(math.fsum(sorted(terms)))
 
 
-def reference_nodes(n, k):
-    """Count vector -> multiplicity, in the kernel's dict order."""
+def log_amp2(weights, counts):
+    """log of the per-leaf squared amplitude prod_j w_j^c_j."""
+    return sum(c * math.log(w) for c, w in zip(counts, weights))
+
+
+def walked_nodes(n, k):
+    """Count vector -> multiplicity, in the order the sweep walks them,
+    with a math.comb per count where the walk carries its binomials."""
+    if k == 1:
+        return {(n,): 1}
     nodes = {}
-    for cuts in itertools.combinations(range(n + k - 1), k - 1):
-        bounds = (-1,) + cuts + (n + k - 1,)
-        counts = tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
-        mult, rest = 1, n
-        for c in counts[:-1]:
-            mult *= math.comb(rest, c)
-            rest -= c
-        nodes[counts] = mult
+    for prefix, rest, mult in _count_rows(n, k):
+        for c in range(rest + 1):
+            nodes[prefix + (c, rest - c)] = mult * math.comb(rest, c)
     return nodes
 
 
 # -- tree structure -----------------------------------------------------------
 
 def test_two_level_multiplicities_frozen():
-    tree = grow((0.25, 0.75), 2)
-    assert tree.nodes == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert tree.depth == 2 and tree.k == 2
+    # leaves of squared amplitude 1/16, 3/16 (two of them) and 9/16
+    assert reference_nodes(2, 2) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert (coarse_grain_count((0.25, 0.75), 2, [0.5, 0.1, 0.05, 0.01])
+            == [1, 3, 4, 4])
 
 
 def test_node_count_equals_k_to_depth():
-    tree = grow((0.2, 0.3, 0.5), 5)
-    assert sum(tree.nodes.values()) == 3 ** 5
+    # theta 0 is answered without a walk; a threshold below every
+    # amplitude counts the walked leaves
+    assert (coarse_grain_count((0.2, 0.3, 0.5), 5, [0.0, 0.2 ** 5 / 2])
+            == [3 ** 5, 3 ** 5])
+
+
+def grain_bands(weights, depth):
+    """(squared amplitude, reference leaves, swept leaves) per distinct
+    amplitude of the reference tree, the swept leaves cut apart by
+    thresholds midway between adjacent log amplitudes."""
+    nodes = reference_nodes(depth, len(weights))
+    leaves = {}
+    for counts, mult in nodes.items():
+        a = log_amp2(weights, counts)
+        leaves[a] = leaves.get(a, 0) + mult
+    levels = sorted(leaves)
+    cuts = [levels[0] - 1.0] + [0.5 * (a + b)
+                                for a, b in zip(levels, levels[1:])]
+    above = coarse_grain_count(weights, depth, [math.exp(c) for c in cuts])
+    swept = [a - b for a, b in zip(above, above[1:] + [0])]
+    return [(math.exp(a), leaves[a], n) for a, n in zip(levels, swept)]
 
 
 def test_total_born_mass_is_one():
-    tree = grow((0.1, 0.9), 8)
-    mass = sum(mult * (0.1 ** c[0]) * (0.9 ** c[1])
-               for c, mult in tree.nodes.items())
+    bands = grain_bands((0.1, 0.9), 8)
+    assert [ref for _, ref, _ in bands] == [n for _, _, n in bands]
+    mass = sum(amp * n for amp, _, n in bands)
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -88,28 +116,26 @@ def test_mass_conservation_random_weights(depth, seed):
     k = int(rng.integers(2, 4))
     raw = rng.uniform(0.05, 1.0, size=k)
     w = tuple(raw / raw.sum())
-    tree = grow(w, depth)
-    mass = sum(mult * math.prod(wi ** ci for wi, ci in zip(w, c))
-               for c, mult in tree.nodes.items())
+    bands = grain_bands(w, depth)
+    assert [ref for _, ref, _ in bands] == [n for _, _, n in bands]
+    assert sum(n for _, _, n in bands) == k ** depth
+    mass = sum(amp * n for amp, _, n in bands)
     assert mass == pytest.approx(1.0, abs=1e-9)
-    assert sum(tree.nodes.values()) == k ** depth
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_grow_matches_reference_nodes_in_order(k):
-    weights = (1.0 / k,) * (k - 1) + (1.0 - (k - 1) / k,)
+    # the count vectors as the sweep grows them, row by row
     for n in range(13):
-        tree = grow(weights, n)
-        assert list(tree.nodes.items()) == list(reference_nodes(n, k).items())
+        assert (list(walked_nodes(n, k).items())
+                == list(reference_nodes(n, k).items()))
 
 
-def test_grow_walks_more_outcomes_than_the_recursion_limit():
+def test_coarse_grain_walks_more_outcomes_than_the_recursion_limit():
     k = 1500
     weights = (0.5 / (k - 1),) * (k - 1) + (0.5,)
-    tree = grow(weights, 1)
-    assert len(tree.nodes) == k and tree.leaf_count() == k
-    assert next(iter(tree.nodes)) == (0,) * (k - 1) + (1,)
-    assert list(grow(weights, 0).nodes.items()) == [((0,) * k, 1)]
+    assert coarse_grain_count(weights, 1, [0.0, 0.4, 0.6]) == [k, 1, 0]
+    assert coarse_grain_count(weights, 0, [0.0, 0.4, 1.0]) == [1, 1, 0]
 
 
 def test_weight_check_rejects_nan():
@@ -119,16 +145,16 @@ def test_weight_check_rejects_nan():
         born_deviation_norm((math.nan, 0.5), 3, 0.1)
 
 
-def test_grow_guards():
-    with pytest.raises(SeriesTooLarge):
-        grow((0.5, 0.5), DEPTH_GUARD + 1)
+def test_depth_and_tree_guards():
+    with pytest.raises(SeriesTooLarge, match="depth guard"):
+        coarse_grain_count((0.5, 0.5), DEPTH_GUARD + 1, [0.1])
     # k = 6 at depth 33 fits TREE_GUARD, depth 34 does not
     w6 = (0.3, 0.15, 0.25, 0.05, 0.2, 0.05)
     assert tree_words(6, 33) <= TREE_GUARD < tree_words(6, 34)
     assert tree_words(6, 30) == 324_632 * (6 + 30 * math.log2(6) / 64)
     assert tree_words(2, 10 ** 6) < math.inf == tree_words(1500, 1500)
-    with pytest.raises(SeriesTooLarge):
-        grow(w6, 34)
+    with pytest.raises(SeriesTooLarge, match="tree guard"):
+        coarse_grain_count(w6, 34, [0.1])
     with pytest.raises(SeriesTooLarge):
         born_deviation_norm((0.5, 0.5), DEPTH_GUARD + 1, 0.1)
 
@@ -151,28 +177,65 @@ def test_series_and_sweep_guards_bound_the_whole_call():
         check_sweep_cost(6, 30, passes + 1)
     with pytest.raises(SeriesTooLarge, match="depth guard"):
         check_sweep_cost(2, DEPTH_GUARD + 1, 1)
-    check_sweep_cost(2, -1, 10 ** 9)    # left to grow, which names it
+    check_sweep_cost(2, -1, 10 ** 9)    # coarse_grain_count names it
     check_sweep_cost(0, 5, 10 ** 9)
 
 
 # -- counting measure ---------------------------------------------------------
 
+def reference_mode(n, k):
+    """The reference tree's most numerous count vector, ties to the
+    lexicographically smallest."""
+    nodes = reference_nodes(n, k)
+    return max(sorted(nodes), key=nodes.get)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_modal_vector_is_the_reference_argmax(k):
+    for depth in range(1, 13):
+        assert modal_count_vector(k, depth) == reference_mode(depth, k), depth
+
+
+def test_modal_vector_needs_an_outcome_and_a_round():
+    for k, depth in ((0, 5), (-1, 5), (2, 0), (3, -2), (0, 0)):
+        with pytest.raises(ValueError, match="modal vector needs"):
+            modal_count_vector(k, depth)
+        with pytest.raises(ValueError, match="modal vector needs"):
+            counting_frequencies(k, depth)
+
+
+def test_modal_vector_at_the_depth_guard_walks_nothing(monkeypatch):
+    def walk(*_):
+        raise AssertionError("the count vectors were walked")
+
+    monkeypatch.setattr(branching, "_count_rows", walk)
+    assert DEPTH_GUARD == 6 * 1666 + 4
+    assert modal_count_vector(6, DEPTH_GUARD) == (1666,) * 2 + (1667,) * 4
+
+
 def test_counting_frequencies_ignore_weights():
-    for w in ((0.5, 0.5), (0.1, 0.9)):
-        assert counting_frequencies(grow(w, 12)) == pytest.approx((0.5, 0.5))
-    for w in ((0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3)):
-        freqs = counting_frequencies(grow(w, 6))
-        assert freqs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    # every leaf counts once, so only k and the depth enter
+    assert counting_frequencies(2, 12) == (0.5, 0.5)
+    assert counting_frequencies(3, 6) == pytest.approx((1 / 3,) * 3)
+    assert counting_frequencies(3, 7) == (2 / 7, 2 / 7, 3 / 7)
 
 
 def test_modal_vector_uniform_at_divisible_depth():
-    assert modal_count_vector(grow((0.9, 0.1), 30)) == (15, 15)
-    assert modal_count_vector(grow((0.2, 0.3, 0.5), 9)) == (3, 3, 3)
+    assert modal_count_vector(2, 30) == (15, 15)
+    assert modal_count_vector(3, 9) == (3, 3, 3)
 
 
 def test_modal_vector_same_across_weight_choices():
-    ref = modal_count_vector(grow((0.5, 0.5), 30))
-    assert modal_count_vector(grow((0.1, 0.9), 30)) == ref
+    # the Born mode of the reference tree follows the weights; the
+    # counting mode is one vector whatever they are
+    nodes = reference_nodes(30, 2)
+
+    def born_mode(weights):
+        return max(sorted(nodes), key=lambda c: (math.log(nodes[c])
+                                                 + log_amp2(weights, c)))
+
+    assert born_mode((0.5, 0.5)) == modal_count_vector(2, 30) == (15, 15)
+    assert born_mode((0.1, 0.9)) == (3, 27)
 
 
 # -- deviation mass -----------------------------------------------------------
@@ -215,13 +278,14 @@ def test_deviation_norm_matches_reference_bit_for_bit(weights):
 
 # -- coarse graining ----------------------------------------------------------
 
-def reference_grain_counts(tree, thetas):
+def reference_grain_counts(weights, n, thetas):
     """Leaves above each theta: per theta, a brute-force pass over the
-    stored nodes' log amplitudes, as the tree-based sweep counted them."""
+    reference tree's log amplitudes."""
     import numpy as np
-    log_amps = np.array([tree.node_log_amp2(c) for c in tree.nodes])
-    mults = np.array(list(tree.nodes.values()), dtype=object)
-    return [tree.leaf_count() if theta == 0.0
+    nodes = reference_nodes(n, len(weights))
+    log_amps = np.array([log_amp2(weights, c) for c in nodes])
+    mults = np.array(list(nodes.values()), dtype=object)
+    return [len(weights) ** n if theta == 0.0
             else int(mults[log_amps > math.log(theta)].sum())
             for theta in thetas]
 
@@ -231,9 +295,8 @@ def test_coarse_grain_matches_brute_force():
     # any exact-equality boundary where float ordering could differ
     w = (0.2, 0.3, 0.5)
     depth = 6
-    tree = grow(w, depth)
     products = sorted({math.prod(wi ** ci for wi, ci in zip(w, c))
-                       for c in tree.nodes})
+                       for c in reference_nodes(depth, 3)})
     thetas = [0.5 * (a + b) for a, b in zip(products, products[1:])]
     thetas += [products[0] / 2, products[-1] * 2]
     brute = [sum(1 for path in itertools.product(range(3), repeat=depth)
@@ -245,15 +308,14 @@ def test_coarse_grain_matches_brute_force():
 def test_coarse_grain_matches_log_amplitude_brute_force():
     for weights, depth in (((0.2, 0.3, 0.5), 6), ((0.5, 0.5), 9),
                            ((0.3, 0.15, 0.25, 0.05, 0.2, 0.05), 5)):
-        tree = grow(weights, depth)
         # theta 0, and theta at every node's own amplitude in both forms
         thetas = {0.0, 1.0}
-        for counts in tree.nodes:
-            thetas.add(math.exp(tree.node_log_amp2(counts)))
+        for counts in reference_nodes(depth, len(weights)):
+            thetas.add(math.exp(log_amp2(weights, counts)))
             thetas.add(math.prod(w ** c for w, c in zip(weights, counts)))
         thetas = sorted(thetas)
         assert (coarse_grain_count(weights, depth, thetas)
-                == reference_grain_counts(tree, thetas))
+                == reference_grain_counts(weights, depth, thetas))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -264,14 +326,13 @@ def test_coarse_grain_one_pass_matches_per_threshold_reference(k):
     weights = tuple(x / sum(raw) for x in raw)
     rng = random.Random(k)
     for n in range(13):
-        tree = grow(weights, n)
-        amps = sorted({math.exp(tree.node_log_amp2(c)) for c in tree.nodes}
-                      | {1.0})
+        amps = sorted({math.exp(log_amp2(weights, c))
+                       for c in reference_nodes(n, k)} | {1.0})
         thetas = amps + rng.sample(amps, min(3, len(amps)))
         thetas += [0.0, -0.0, 0.0]
         rng.shuffle(thetas)
         assert (coarse_grain_count(weights, n, thetas)
-                == reference_grain_counts(tree, thetas)), (k, n)
+                == reference_grain_counts(weights, n, thetas)), (k, n)
 
 
 def test_coarse_grain_frozen_values():
@@ -311,3 +372,51 @@ def test_coarse_grain_sweep_never_holds_the_tree():
     assert counts == [6 ** 30, 1140394687581654539701,
                       52761492406550800401952, 186647157187783324357764]
     assert peak < 1_000_000, peak
+
+
+# -- non-finite library arguments ---------------------------------------------
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                     5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _vnm_utilities(tol):
+    oracle = PMEUOracle({"r0": 0.0, "r1": 1.0, "a": 0.3})
+    return list(vnm_elicit(oracle, ["r0", "a", "r1"], "r0", "r1",
+                           tol=tol).values())
+
+
+def _born_utilities(std6, tol):
+    p = std6.problem
+    table = elicit_utility(p, BornOracle(p, std6.utility), tol=tol).table
+    return [table.of(rid) for rid in p.reward_ids]
+
+
+# entry point and argument -> (call, whether the value must be refused)
+_NUMERIC_ARGUMENTS = {
+    "born_deviation_norm eps": (
+        lambda x, _: [born_deviation_norm((0.5, 0.5), 3, x)],
+        lambda x: not 0 <= x < math.inf),
+    "coarse_grain_count theta": (
+        lambda x, _: coarse_grain_count((0.5, 0.5), 3, [0.1, x]),
+        lambda x: not x >= 0),
+    "vnm_elicit tol": (lambda x, _: _vnm_utilities(x),
+                       lambda x: not x >= 0),
+    "elicit_utility tol": (lambda x, std6: _born_utilities(std6, x),
+                           lambda x: not x >= 0),
+}
+
+
+@given(st.sampled_from(sorted(_NUMERIC_ARGUMENTS)), _EDGE_FLOATS)
+@settings(max_examples=200, deadline=None)
+def test_library_refuses_non_finite_arguments(std6, entry, x):
+    # a refused value gets the ValueError a negative one gets, naming
+    # the argument; any other value gives a finite answer
+    call, refused = _NUMERIC_ARGUMENTS[entry]
+    if refused(x):
+        with pytest.raises(ValueError, match="must be (nonnegative|finite)"):
+            call(x, std6)
+    else:
+        assert all(math.isfinite(v) for v in call(x, std6))

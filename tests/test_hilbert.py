@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qdtbench.errors import OutsideDomain
 from qdtbench.hilbert import (TOL_RANK, PartialIsometryAct, StateVector,
                               Subspace, _orthonormal_columns, acts_agree_on,
-                              acts_equal, basis_state, complement, join, meet,
+                              acts_equal, complement, join, meet,
                               orthonormalize, project)
 
 from conftest import unitary_frame
@@ -31,12 +31,6 @@ def random_subspace(dim: int, rank: int, rng) -> Subspace:
 
 
 # -- states and bases ---------------------------------------------------------
-
-def test_basis_state_is_unit():
-    e2 = basis_state(4, 2)
-    assert e2.norm == pytest.approx(1.0)
-    assert e2.vec[2] == 1.0
-
 
 def test_orthonormalize_gram_identity():
     rng = np.random.default_rng(5)

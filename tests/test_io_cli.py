@@ -357,8 +357,8 @@ def _cheap_argv(draw):
 
 
 def _first_refused_depth(k: int) -> int:
-    """The least depth at which grow refuses k outcomes: past the depth
-    guard, or a tree of more words than the tree guard."""
+    """The least depth at which coarse_grain_count refuses k outcomes:
+    past the depth guard, or a tree of more words than the tree guard."""
     n = 0
     while n <= DEPTH_GUARD and tree_words(k, n) <= TREE_GUARD:
         n += 1
