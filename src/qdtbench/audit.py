@@ -31,7 +31,7 @@ import numpy as np
 from .comparison import ELICIT_TOL, TIE_BAND, Comparison
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, IntransitiveOracle,
-                     NonMonotoneOracle, TooManyMacrostates)
+                     NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act, restrict_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       TOL_ORTH, acts_agree_on, project)
@@ -1057,11 +1057,7 @@ def _nullity(run, t, rng):
     """The geometric criterion matches the definitional test on every
     lattice event, at states with clean macrostate support."""
     p = run.p
-    try:
-        events = [((), p.event_of([]))] + _events_to_audit(p, rng)
-    except TooManyMacrostates as exc:
-        t.skip(str(exc))
-        events = []
+    events = [((), p.event_of([]))] + _events_to_audit(p, rng)
     supports = _null_supports(p, rng, run.utility,
                               count=max(2, run.n_light // 2))
     if not supports:

@@ -23,17 +23,13 @@ WEIGHT_TOL = 1e-12
 #: refuse to walk or weigh more branching rounds than this; at k = 2 a
 #: leaf count 2^n then stays within Python's 4,300-digit int-to-str limit
 DEPTH_GUARD = 10_000
-#: refuse to walk a tree that would take more 64-bit words than
-#: `tree_words` counts; no tree is stored, but the walk keeps this bound
-#: so that what it refuses does not change
+#: refuse a sweep whose count vectors take more 64-bit words, as
+#: `tree_words` counts them, than this; the walk reads each vector once,
+#: whatever the number of thresholds
 TREE_GUARD = 4_000_000
 #: refuse to weigh more branching rounds than this in one series, each
 #: depth counted with 10 more for its fixed cost
 ROUNDS_GUARD = 1_000_000
-#: refuse a threshold sweep that reads more words than this: the tree's
-#: words plus 64 for its fixed cost, once per threshold (the one-pass
-#: sweep reads fewer; the bound is kept so that refusals do not change)
-SWEEP_GUARD = 40_000_000
 
 
 def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -54,8 +50,9 @@ def _check_depth(depth: int) -> None:
 
 
 def tree_words(k: int, depth: int) -> float:
-    """64-bit words of a depth-n, k-outcome tree: C(n+k-1, k-1) nodes,
-    each k counts and a multiplicity below k^n (inf past 2^1000 nodes)."""
+    """64-bit words of the count vectors a depth-n, k-outcome sweep walks:
+    C(n+k-1, k-1) vectors, each with k counts and a multiplicity below
+    k^n (inf past 2^1000 vectors)."""
     nodes = math.comb(depth + k - 1, k - 1)
     if nodes.bit_length() > 1000:
         return math.inf
@@ -71,35 +68,6 @@ def check_series_cost(depths: Sequence[int]) -> None:
     if rounds > ROUNDS_GUARD:
         raise SeriesTooLarge(f"{len(depths)} depths weigh {rounds} rounds, "
                              f"above the rounds guard of {ROUNDS_GUARD}")
-
-
-def check_sweep_cost(k: int, depth: int, thresholds: int) -> None:
-    """Refuse, before the walk, a sweep of `thresholds` thresholds that
-    reads more words than the sweep guard, counted as one pass over the
-    tree per threshold."""
-    _check_depth(depth)
-    if k < 1 or depth < 0:
-        return                      # coarse_grain_count names what is wrong
-    words = thresholds * (tree_words(k, depth) + 64)
-    if words > SWEEP_GUARD:
-        raise SeriesTooLarge(f"{thresholds} thresholds over a tree of {k} "
-                             f"outcomes at depth {depth} read more than "
-                             f"{SWEEP_GUARD} words (the sweep guard)")
-
-
-def _check_tree(weights: Sequence[float], depth: int) -> tuple[float, ...]:
-    """The checked weights of a depth-n tree that the tree guard admits;
-    the tree need not be stored, so the guard bounds the walk."""
-    ws = _check_weights(weights)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    _check_depth(depth)
-    k = len(ws)
-    if tree_words(k, depth) > TREE_GUARD:
-        raise SeriesTooLarge(
-            f"{k} outcomes at depth {depth} give a tree of more than "
-            f"{TREE_GUARD} words (the tree guard)")
-    return ws
 
 
 def _count_rows(depth: int, k: int):
@@ -196,12 +164,20 @@ def coarse_grain_count(weights: Sequence[float], depth: int,
     threshold.  theta = 0 counts every leaf (k^depth of them); the count
     collapses as theta crosses the amplitude scales, which is the
     instability this diagnostic is meant to exhibit.
-    The tree guard still applies, so what is refused does not change.
+    The depth and tree guards bound the walk, whatever the number of
+    thresholds.
     """
-    ws = _check_tree(weights, depth)
+    ws = _check_weights(weights)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    _check_depth(depth)
+    k = len(ws)
+    if tree_words(k, depth) > TREE_GUARD:
+        raise SeriesTooLarge(
+            f"{k} outcomes at depth {depth} give a tree of more than "
+            f"{TREE_GUARD} words (the tree guard)")
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("grain threshold must be nonnegative")
-    k = len(ws)
     # distinct log thresholds, ascending: a vector of log amplitude a
     # counts for the first bisect_left(cuts, a) of them
     cuts = sorted({math.log(theta) for theta in thetas if theta != 0.0})

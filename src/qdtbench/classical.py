@@ -397,14 +397,6 @@ class ClassicalAct:
         special = dict(self.entries)
         return tuple((s, special.get(s, self.default)) for s in self.states)
 
-    def payoff(self, state: str) -> str:
-        for s, x in self.entries:
-            if s == state:
-                return x
-        if state in self.states:
-            return self.default
-        raise KeyError(state)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassicalAct):
             return NotImplemented

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import classical as cls
 from .branching import (born_deviation_norm, check_series_cost,
-                        check_sweep_cost, coarse_grain_count)
+                        coarse_grain_count)
 from .comparison import ELICIT_TOL
 from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
                      QdtError, SeriesTooLarge, ValidationError)
@@ -245,7 +245,6 @@ def cmd_sweep_grain(args) -> int:
     if args.k != len(weights):
         raise UsageError(f"--k {args.k} does not match "
                          f"{len(weights)} weights")
-    check_sweep_cost(len(weights), args.n, len(thetas))
     try:
         counts = coarse_grain_count(weights, args.n, thetas)
     except ValueError as exc:

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtbench import branching
-from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
-                                TREE_GUARD, born_deviation_norm,
-                                check_series_cost, check_sweep_cost,
+from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, TREE_GUARD,
+                                born_deviation_norm, check_series_cost,
                                 coarse_grain_count, counting_frequencies,
                                 _check_weights, _count_rows,
                                 modal_count_vector, tree_words)
@@ -169,16 +168,8 @@ def test_series_and_sweep_guards_bound_the_whole_call():
         check_series_cost([DEPTH_GUARD] * (fit + 1))
     with pytest.raises(SeriesTooLarge, match="rounds guard"):
         check_series_cost([1] * (ROUNDS_GUARD // 11 + 1))
-    # the series sweep (k = 6, n = 30, four thresholds) fits the sweep guard
-    check_sweep_cost(6, 30, 4)
-    passes = int(SWEEP_GUARD // (tree_words(6, 30) + 64))
-    check_sweep_cost(6, 30, passes)
-    with pytest.raises(SeriesTooLarge, match="sweep guard"):
-        check_sweep_cost(6, 30, passes + 1)
-    with pytest.raises(SeriesTooLarge, match="depth guard"):
-        check_sweep_cost(2, DEPTH_GUARD + 1, 1)
-    check_sweep_cost(2, -1, 10 ** 9)    # coarse_grain_count names it
-    check_sweep_cost(0, 5, 10 ** 9)
+    # a sweep walks once whatever its thresholds, so the depth and tree
+    # guards bound it (test_sweep_walks_once_per_call)
 
 
 # -- counting measure ---------------------------------------------------------
@@ -357,6 +348,32 @@ def test_coarse_grain_keeps_the_refusals_of_grow():
         coarse_grain_count((0.5, 0.6), 4, [-1.0])
     with pytest.raises(ValueError, match="threshold must be nonnegative"):
         coarse_grain_count((0.5, 0.5), 4, [0.1, -1.0])
+    # checked in order: weights, negative depth, depth guard, tree guard
+    with pytest.raises(WeightSumError):
+        coarse_grain_count((0.5, 0.6), DEPTH_GUARD + 1, [-1.0])
+    with pytest.raises(WeightSumError):
+        coarse_grain_count((0.5, 0.6), -1, [-1.0])
+    with pytest.raises(SeriesTooLarge, match="depth guard"):
+        coarse_grain_count(w6, DEPTH_GUARD + 1, [-1.0])
+    with pytest.raises(SeriesTooLarge, match="tree guard"):
+        coarse_grain_count(w6, 34, [-1.0])
+
+
+@pytest.mark.parametrize("thresholds", [1, 131])
+def test_sweep_walks_once_per_call(thresholds, monkeypatch):
+    entries = []
+
+    def counted(*args):
+        entries.append(args)
+        return _count_rows(*args)
+
+    monkeypatch.setattr(branching, "_count_rows", counted)
+    w = (0.2, 0.3, 0.5)
+    thetas = [0.002 * (j + 1) for j in range(thresholds)]
+    counts = coarse_grain_count(w, 6, thetas)
+    assert entries == [(6, 3)]
+    assert counts == [coarse_grain_count(w, 6, [theta])[0]
+                      for theta in thetas]
 
 
 def test_coarse_grain_sweep_never_holds_the_tree():

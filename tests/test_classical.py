@@ -190,10 +190,6 @@ def test_classical_act_keeps_its_dense_view():
     act = ClassicalAct.from_mapping(dense)
     assert act.payoffs == tuple(sorted(dense.items()))
     assert act.states == ("s0", "s1", "s10", "s2")
-    assert [act.payoff(s) for s in act.states] == [dense[s]
-                                                  for s in act.states]
-    with pytest.raises(KeyError):
-        act.payoff("s3")
     bet = ClassicalAct.bet(["s1", "s0", "s2"], ["s2", "s9"], "win", "lose")
     assert bet.payoffs == (("s0", "lose"), ("s1", "lose"), ("s2", "win"))
     assert bet.entries == (("s2", "win"),)

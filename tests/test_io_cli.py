@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from qdtbench import branching
 from qdtbench import cli as qdt_cli
-from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, SWEEP_GUARD,
-                                TREE_GUARD, tree_words)
+from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, TREE_GUARD,
+                                coarse_grain_count, tree_words)
 from qdtbench.classical import CELLS_GUARD
 from qdtbench.errors import ParseError, SchemaError, ValidationError
 from qdtbench.io import dumps_instance, load_instance, loads_instance
@@ -251,8 +251,10 @@ _W6 = "0.3,0.15,0.25,0.05,0.2,0.05"
      f"depth {DEPTH_GUARD + 1} is above the depth guard of {DEPTH_GUARD}"),
     (["--k", "6", "--weights", _W6, "--n", "30",
       "--theta-list=" + ",".join(["-1"] + ["0.1"] * 130)],
-     "131 thresholds over a tree of 6 outcomes at depth 30 read more than "
-     "40000000 words (the sweep guard)"),
+     "grain threshold must be nonnegative"),
+    # a weight error wins over the depth guard
+    (["--k", "2", "--weights", "0.5,0.6", "--n", str(DEPTH_GUARD + 1),
+      "--theta-list=-1"], "branch weights sum to 1.1, not 1"),
 ])
 def test_cli_sweep_refuses_before_the_walk(args, message, monkeypatch,
                                            capsys):
@@ -263,6 +265,22 @@ def test_cli_sweep_refuses_before_the_walk(args, message, monkeypatch,
     assert qdt_cli.main(["sweep-grain"] + args) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_sweep_at_the_tree_guard_takes_eleven_thresholds(capsys):
+    # one walk whatever the thresholds: eleven at k = 6, n = 33 run, and
+    # each count is that threshold's own single-threshold sweep
+    thetas = [10.0 ** -e for e in range(15, 36, 2)]
+    assert qdt_cli.main(["sweep-grain", "--k", "6", "--weights", _W6,
+                         "--n", "33", "--theta-list",
+                         ",".join(map(repr, thetas))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "theta,count" and len(lines) == 12
+    counts = [int(line.split(",")[1]) for line in lines[1:]]
+    assert counts[0] == 0 < counts[2]
+    w6 = [float(w) for w in _W6.split(",")]
+    assert counts == [coarse_grain_count(w6, 33, [theta])[0]
+                      for theta in thetas]
 
 
 def test_cli_elicit_recovers_planted_value():
@@ -283,6 +301,17 @@ def test_cli_classical_lex_fails_archimedean():
     assert res.returncode == 1
     res2 = cli("classical-vnm", "--seed", "0", "--oracle", "pmeu", fx("std6"))
     assert res2.returncode == 0
+
+
+@pytest.mark.xfail(strict=True, reason="Archimedean tries t only down to "
+                   "1 - 1e-4; a chain whose A and B differ by less in "
+                   "expected utility finds no upper witness")
+def test_cli_classical_pmeu_passes_archimedean_on_a_close_chain(capsys):
+    # first witness: A = {r1: .5, rA: .5} > B > δ(r0) with u(rA) = 0.4,
+    # EU(A) - EU(B) = 3.45e-5 < 1e-4 * (EU(A) - EU(C)), so no grid t
+    # straddles B, though t = 1 - 1e-5 does
+    assert qdt_cli.main(["classical-vnm", "--seed", "450", "--oracle",
+                         "pmeu", fx("std6")]) == 0
 
 
 def test_cli_bundled_fixture_by_name():
@@ -374,7 +403,7 @@ def _past_guard_argv(draw):
     """Otherwise legal series arguments just past a cost guard: one
     entry too large, or legal entries too many for the whole call."""
     kind = draw(st.sampled_from(["simulate", "simulate-list", "sweep-grain",
-                                 "sweep-list", "savage"]))
+                                 "savage"]))
     if kind == "savage":
         return ["savage", "--cells", str(CELLS_GUARD + draw(_PAST))]
     if kind.startswith("simulate"):
@@ -390,15 +419,9 @@ def _past_guard_argv(draw):
                 "--n", ",".join(map(str, depths)), "--eps", "0.1"]
     k = draw(st.sampled_from(sorted(_REFUSED_DEPTH)))
     weights = ",".join(["0.5"] + [repr(0.5 / (k - 1))] * (k - 1))
-    if kind == "sweep-grain":
-        depth = _REFUSED_DEPTH[k] - 1 + draw(_PAST)
-        thetas = 2
-    else:
-        depth = _REFUSED_DEPTH[k] - 1 - draw(st.integers(0, 2))
-        thetas = (int(SWEEP_GUARD // (tree_words(k, depth) + 64)) + 1
-                  + draw(st.integers(0, 5)))
+    depth = _REFUSED_DEPTH[k] - 1 + draw(_PAST)
     return ["sweep-grain", "--k", str(k), "--weights", weights,
-            "--n", str(depth), "--theta-list", ",".join(["0.001"] * thetas)]
+            "--n", str(depth), "--theta-list", "0.001,0.001"]
 
 
 @settings(max_examples=150, deadline=None)
