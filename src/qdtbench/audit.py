@@ -101,9 +101,6 @@ class AuditReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def failures(self) -> list[str]:
-        return [r.name for r in self.results if not r.ok]
-
     def result(self, name: str) -> AxiomResult:
         for r in self.results:
             if r.name == name:
@@ -163,12 +160,6 @@ def perturb_act(act: PartialIsometryAct, radius: float,
 def act_distance(a: PartialIsometryAct, b: PartialIsometryAct) -> float:
     """Operator-norm distance, both acts extended by zero off their domains."""
     return float(np.linalg.norm(a.as_operator() - b.as_operator(), 2))
-
-
-def _clone_forge(forge: ActForge) -> ActForge:
-    new = ActForge(forge.problem)
-    new._cursor = dict(forge._cursor)
-    return new
 
 
 def _py(value):
@@ -560,13 +551,10 @@ def _brav(run, t, rng):
         psi = random_state_in(m.subspace, rng)
         for k in range(1, min(kmax, 3) + 1):
             ws = random_weights(rng, k)
-            forge = ActForge(p)
+            # the members pick_member yields on a fresh forge
+            targets = sorted(own.members)[:k]
             try:
-                targets = []
-                for _ in ws:
-                    targets.append(forge._pick_member(
-                        own, 1, exclude=set(targets)))
-                act = ActForge(p).branching_act(psi, ws, targets=targets)
+                act = ActForge(p).branching_act(psi, ws)
             except _CAPACITY_ERRORS as exc:
                 t.skip(f"{m.id} k={k}: {exc}")
                 continue
@@ -813,7 +801,7 @@ def _stasup(run, t, rng):
             for weights in ({p.r0_id: 0.5, p.r1_id: 0.5}, {p.r1_id: 1.0},
                             {p.r0_id: 1.0}):
                 try:
-                    follow = _clone_forge(forge).weighted_act(phi, weights)
+                    follow = forge.clone().weighted_act(phi, weights)
                     break
                 except _CAPACITY_ERRORS:
                     continue
@@ -848,18 +836,14 @@ def _macindif(run, t, rng):
         ra = rids[int(rng.integers(len(rids)))]
         rb = rids[int(rng.integers(len(rids)))]
         need = max(m1.subspace.dim, m2.subspace.dim)
-
-        def cell(rid, exclude=()):
-            for cand in sorted(p.reward(rid).members):
-                if cand in exclude:
-                    continue
-                if p.macrostate(cand).subspace.dim >= need:
-                    return cand
-            return None
-
-        na = cell(ra)
-        nb = cell(rb, exclude=(na,) if ra == rb else ())
-        if na is None or nb is None or na == nb:
+        cells = ActForge(p)
+        try:
+            na = cells.pick_member(p.reward(ra), need)
+            nb = cells.pick_member(p.reward(rb), need,
+                                   exclude=(na,) if ra == rb else ())
+        except InsufficientDimension:
+            na = nb = None
+        if na == nb:
             t.skip(f"no distinct cells of size {need} for {ra},{rb}")
             continue
         psi1 = random_state_in(m1.subspace, rng)
@@ -902,7 +886,7 @@ def _diaccons(run, t, rng):
             if rid2 == p.reward_of_macrostate(target_id):
                 continue
             try:
-                v2 = _clone_forge(forge).reward_act(tmac, rid2) \
+                v2 = forge.clone().reward_act(tmac, rid2) \
                     .with_label(f"after:deliver:{rid2}")
                 break
             except _CAPACITY_ERRORS:
@@ -951,7 +935,7 @@ def _brcons(run, t, rng):
         alpha, beta = 0.8, 0.2
         if trial % 3 == 2:
             beta = alpha  # all-tie variant
-        fv, fv2 = _clone_forge(forge), _clone_forge(forge)
+        fv, fv2 = forge.clone(), forge.clone()
         blocks_v, blocks_v2 = [], []
         try:
             for i, (mid, comp) in enumerate(branches):

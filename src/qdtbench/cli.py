@@ -24,8 +24,8 @@ from . import classical as cls
 from .branching import (born_deviation_norm, check_series_cost,
                         coarse_grain_count)
 from .comparison import ELICIT_TOL
-from .errors import (NonMonotoneOracle, IntransitiveOracle, NotEquipartition,
-                     QdtError, SeriesTooLarge, ValidationError)
+from .errors import (NonMonotoneOracle, NotEquipartition, QdtError,
+                     SeriesTooLarge, ValidationError)
 
 
 def _lazy(layer: str):
@@ -260,7 +260,7 @@ def cmd_elicit(args) -> int:
     planted = inst.utility.as_dict()
     try:
         res = preference_mod.elicit_utility(inst.problem, oracle, tol=args.tol)
-    except (NonMonotoneOracle, IntransitiveOracle) as exc:
+    except NonMonotoneOracle as exc:
         doc = {"command": "elicit", "instance": display, "ok": False,
                "error": str(exc), "tol": args.tol}
         _write_report(doc, args.report)

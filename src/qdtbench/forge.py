@@ -7,6 +7,8 @@ builds them at desk scale.  An ActForge tracks, per macrostate, how many
 basis directions earlier constructions in the same session consumed, so
 successive images land on fresh orthogonal directions; when a request
 cannot be honoured it raises instead of silently reusing directions.
+ActForge.pick_member alone decides which member of a reward an image
+lands in.
 
 Stateless operations (identity, restriction, composition) are plain
 functions.
@@ -14,14 +16,14 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from .branching import _check_weights
 from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, NormMismatch, NotSubevent,
-                     OutsideDomain, WeightSumError, ZeroSubspace)
+                     OutsideDomain, ZeroSubspace)
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       _orthonormal_columns)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
@@ -91,6 +93,26 @@ class ActForge:
         """Unconsumed basis directions left in a macrostate."""
         return self.problem.macrostate(mid).subspace.dim - self._cursor[mid]
 
+    def clone(self) -> ActForge:
+        """A forge for the same problem whose cursors start where this
+        forge's stand."""
+        new = ActForge(self.problem)
+        new._cursor = dict(self._cursor)
+        return new
+
+    def pick_member(self, reward: Reward, need: int,
+                    exclude: Collection[str] = ()) -> str:
+        """The placement rule: the lowest-id member of the reward, not in
+        `exclude`, with room for `need` fresh directions."""
+        for mid in sorted(reward.members):
+            if mid in exclude:
+                continue
+            if self.spare(mid) >= need:
+                return mid
+        raise InsufficientDimension(
+            f"no member of reward {reward.id!r} has {need} fresh "
+            f"direction(s) available")
+
     def _alloc(self, mid: str, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("allocation count must be nonnegative")
@@ -123,17 +145,14 @@ class ActForge:
             return mac
         return self.problem.macrostate(mac)
 
-    def _pick_member(self, reward: Reward, need: int,
-                     exclude: set[str] = frozenset()) -> str:
-        """Lowest-id member with room for `need` fresh directions."""
-        for mid in sorted(reward.members):
-            if mid in exclude:
-                continue
-            if self.spare(mid) >= need:
-                return mid
-        raise InsufficientDimension(
-            f"no member of reward {reward.id!r} has {need} fresh "
-            f"direction(s) available")
+    def _check_target(self, reward: Reward, target: str, need: int) -> None:
+        """Refuse an explicit target outside the reward or without room."""
+        if target not in reward.members:
+            raise NotSubevent(
+                f"{target!r} is not a member of reward {reward.id!r}")
+        if self.spare(target) < need:
+            raise InsufficientDimension(
+                f"member {target!r} has no room for {need} direction(s)")
 
     def _basis_starting_at(self, mac: Macrostate,
                            psi_hat: StateVector) -> np.ndarray:
@@ -158,18 +177,21 @@ class ActForge:
                 "failed to complete a basis around the given state")
         return np.column_stack(cols)
 
-    def _embed_state_first(self, psi: StateVector,
-                           first_image: np.ndarray,
-                           extra_pool: Sequence[str]) -> PartialIsometryAct:
-        """Act on psi's macrostate sending psi/|psi| to `first_image` and
-        the rest of the macrostate basis to fresh directions drawn from
-        `extra_pool` (macrostate ids, scanned in order)."""
-        mac = self._macrostate_of(psi)
+    def _superpose(self, mac: Macrostate, psi: StateVector,
+                   weights: Sequence[float],
+                   targets: Sequence[str]) -> PartialIsometryAct:
+        """Act on psi's macrostate `mac` sending psi/|psi| to the
+        superposition with squared amplitude weights[i] on a fresh unit
+        vector of targets[i]; the rest of the macrostate basis goes to
+        further fresh directions of the targets, scanned in order."""
+        first = np.zeros(self.problem.dim, dtype=np.complex128)
+        for w, t in zip(weights, targets):
+            first = first + np.sqrt(w) * self._alloc(t, 1)[:, 0]
         m = mac.subspace.dim
         q = self._basis_starting_at(mac, psi.unit())
-        images = [first_image]
+        images = [first]
         needed = m - 1
-        for mid in extra_pool:
+        for mid in targets:
             if needed == 0:
                 break
             take = min(self.spare(mid), needed)
@@ -187,9 +209,9 @@ class ActForge:
         try:
             return PartialIsometryAct(mac.subspace, matrix)
         except ValueError as exc:
-            # overlapping pool members yield non-orthogonal fresh directions
+            # overlapping targets yield non-orthogonal fresh directions
             raise CannotOrthogonalize(
-                f"image directions drawn from {sorted(set(extra_pool))} are "
+                f"image directions drawn from {sorted(set(targets))} are "
                 f"not mutually orthogonal: {exc}") from exc
 
     # -- constructions ----------------------------------------------------
@@ -200,51 +222,29 @@ class ActForge:
         r = self._resolve_reward(reward)
         need = m.subspace.dim
         if target is None:
-            target = self._pick_member(r, need)
+            target = self.pick_member(r, need)
         else:
-            if target not in r.members:
-                raise NotSubevent(
-                    f"{target!r} is not a member of reward {r.id!r}")
-            if self.spare(target) < need:
-                raise InsufficientDimension(
-                    f"member {target!r} has no room for {need} direction(s)")
+            self._check_target(r, target, need)
         return PartialIsometryAct(m.subspace, self._alloc(target, need))
 
-    def branching_act(self, psi: StateVector, weights: Sequence[float],
-                      targets: Sequence[str] | None = None) -> PartialIsometryAct:
+    def branching_act(self, psi: StateVector,
+                      weights: Sequence[float]) -> PartialIsometryAct:
         """In-reward branching with prescribed squared amplitudes.
 
         psi must sit inside one macrostate of some reward r; the act
         sends psi/|psi| to a superposition of fresh unit vectors, one in
-        each target member of r, with squared amplitude weights[i] on
-        the i-th target.  The rest of the macrostate follows into the
-        same targets, so the act's image stays inside r.
+        each of the first len(weights) members of r that pick_member
+        yields, with squared amplitude weights[i] on the i-th.  The rest
+        of the macrostate follows into the same members, so the act's
+        image stays inside r.
         """
         ws = _check_weights(weights)
         mac = self._macrostate_of(psi)
         r = self.problem.reward(self.problem.reward_of_macrostate(mac.id))
-        if targets is None:
-            targets = []
-            excl: set[str] = set()
-            for _ in ws:
-                t = self._pick_member(r, 1, exclude=excl)
-                targets.append(t)
-                excl.add(t)
-        else:
-            targets = list(targets)
-            if len(targets) != len(ws):
-                raise WeightSumError("one target per weight required")
-            if len(set(targets)) != len(targets):
-                raise ValueError("branching targets must be pairwise distinct")
-            for t in targets:
-                if t not in r.members:
-                    raise NotSubevent(
-                        f"{t!r} is not a member of reward {r.id!r}; branching "
-                        f"must stay inside the macrostate's own reward")
-        first = np.zeros(self.problem.dim, dtype=np.complex128)
-        for w, t in zip(ws, targets):
-            first = first + np.sqrt(w) * self._alloc(t, 1)[:, 0]
-        return self._embed_state_first(psi, first, extra_pool=targets)
+        targets: list[str] = []
+        for _ in ws:
+            targets.append(self.pick_member(r, 1, exclude=targets))
+        return self._superpose(mac, psi, ws, targets)
 
     def weighted_act(self, psi: StateVector, reward_weights: Mapping[str, float],
                      targets: Mapping[str, str] | None = None) -> PartialIsometryAct:
@@ -252,33 +252,22 @@ class ActForge:
 
         reward_weights maps reward id -> squared amplitude (zero entries
         are dropped; the rest must sum to one).  One fresh unit vector
-        is drawn from a member of each weighted reward; the remainder of
-        the macrostate follows into the same members.
+        is drawn from a member of each weighted reward (the one named in
+        `targets`, else pick_member's); the remainder of the macrostate
+        follows into the same members.
         """
         items = [(rid, float(w)) for rid, w in sorted(reward_weights.items())
                  if float(w) != 0.0]
-        _check_weights([w for _, w in items])
-        chosen: dict[str, str] = {}
-        excl: set[str] = set()
+        ws = _check_weights([w for _, w in items])
+        chosen: list[str] = []
         for rid, _ in items:
             r = self.problem.reward(rid)
             if targets is not None and rid in targets:
-                t = targets[rid]
-                if t not in r.members:
-                    raise NotSubevent(
-                        f"{t!r} is not a member of reward {rid!r}")
-                if self.spare(t) < 1:
-                    raise InsufficientDimension(
-                        f"member {t!r} has no fresh directions left")
+                self._check_target(r, targets[rid], 1)
+                chosen.append(targets[rid])
             else:
-                t = self._pick_member(r, 1, exclude=excl)
-            chosen[rid] = t
-            excl.add(t)
-        first = np.zeros(self.problem.dim, dtype=np.complex128)
-        for rid, w in items:
-            first = first + np.sqrt(w) * self._alloc(chosen[rid], 1)[:, 0]
-        return self._embed_state_first(psi, first,
-                                       extra_pool=[chosen[r] for r, _ in items])
+                chosen.append(self.pick_member(r, 1, exclude=chosen))
+        return self._superpose(self._macrostate_of(psi), psi, ws, chosen)
 
     def erasure_pair(self, psi1: StateVector, psi2: StateVector
                      ) -> tuple[PartialIsometryAct, PartialIsometryAct]:
@@ -352,17 +341,12 @@ class ActForge:
                 kn = cbasis.shape[1]
                 rid = p.reward_of_macrostate(nid)
                 r = p.reward(rid)
-                dest = None
-                for cand in sorted(r.members):
-                    if cand in used or cand in ids:
-                        continue
-                    if self.spare(cand) >= kn:
-                        dest = cand
-                        break
-                if dest is None:
+                try:
+                    dest = self.pick_member(r, kn, exclude=used | ids)
+                except InsufficientDimension:
                     raise CannotOrthogonalize(
                         f"no untouched member of reward {rid!r} can host the "
-                        f"re-targeted image of macrostate {nid!r}")
+                        f"re-targeted image of macrostate {nid!r}") from None
                 fresh = self._alloc(dest, kn)
                 coeff = cbasis.conj().T @ mat
                 mat = mat - cbasis @ coeff + fresh @ coeff

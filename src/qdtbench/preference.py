@@ -20,9 +20,8 @@ import numpy as np
 
 from .comparison import (ELICIT_STEPS, ELICIT_TOL, TIE_BAND, Comparison,
                          bisect_indifference)
-from .errors import (CannotOrthogonalize, CatalogTooLarge, DimensionMismatch,
-                     DomainMismatch, IntransitiveOracle, MissingUtility,
-                     NonMonotoneOracle)
+from .errors import (CatalogTooLarge, DimensionMismatch, DomainMismatch,
+                     IntransitiveOracle, MissingUtility, NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
                       complement, meet, project, vanishes_on)
@@ -227,42 +226,19 @@ def reduce_to_standard(p: QuantumDecisionProblem, psi: StateVector,
     branches = dict(branch_decomposition(p, phi))
     blocks = []
     used: set[str] = {mid for mid in event_ids if mid not in branches}
-    plan: list[tuple[str, StateVector, float]] = []
     for mid in event_ids:
-        if mid in branches:
-            rid = p.reward_of_macrostate(mid)
-            plan.append((mid, branches[mid], utility.of(rid)))
-    targets: dict[str, dict[str, str]] = {}
-    r0 = p.reward(p.r0_id)
-    r1 = p.reward(p.r1_id)
-    for mid, _, w in plan:
-        picks: dict[str, str] = {}
-        for rid, rw, reward in ((p.r0_id, 1.0 - w, r0), (p.r1_id, w, r1)):
-            if rw == 0.0:
-                continue
-            choice = None
-            for cand in sorted(reward.members):
-                if cand in used:
-                    continue
-                if forge.spare(cand) >= 1:
-                    choice = cand
-                    break
-            if choice is None:
-                raise CannotOrthogonalize(
-                    f"no free member of reward {rid!r} left for the standard "
-                    f"block on {mid!r}")
-            picks[rid] = choice
-            used.add(choice)
-        targets[mid] = picks
-    for mid in event_ids:
-        if mid in branches:
-            rid = p.reward_of_macrostate(mid)
-            w = utility.of(rid)
-            blocks.append(forge.weighted_act(
-                branches[mid], {p.r0_id: 1.0 - w, p.r1_id: w},
-                targets=targets[mid]))
-        else:
+        if mid not in branches:
             blocks.append(identity_act(p.macrostate(mid).subspace))
+            continue
+        w = utility.of(p.reward_of_macrostate(mid))
+        weights = {p.r0_id: 1.0 - w, p.r1_id: w}
+        picks: dict[str, str] = {}
+        for rid, rw in weights.items():
+            if rw != 0.0:
+                picks[rid] = forge.pick_member(p.reward(rid), 1, exclude=used)
+                used.add(picks[rid])
+        blocks.append(forge.weighted_act(branches[mid], weights,
+                                         targets=picks))
     combined = forge.compat_combine(blocks)
     return compose_acts(p, combined.act, act)
 

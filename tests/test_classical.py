@@ -11,7 +11,8 @@ from qdtbench.classical import (PROB_TOL, ActOracle, ClassicalAct,
                                 check_vnm_axioms,
                                 expected_utility_classical, mix,
                                 savage_probability, vnm_elicit)
-from qdtbench.errors import MissingUtility, NotEquipartition, WeightSumError
+from qdtbench.errors import (MissingUtility, NonMonotoneOracle,
+                             NotEquipartition, WeightSumError)
 from qdtbench.comparison import Comparison
 
 
@@ -130,6 +131,26 @@ def test_vnm_elicit_round_trip():
         got = vnm_elicit(oracle, sorted(u), "r0", "r1", tol=1e-7)
         for rid, val in u.items():
             assert got[rid] == pytest.approx(val, abs=1e-6)
+
+
+class ConstantOracle(LotteryOracle):
+    """Gives the same answer to every comparison."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def compare(self, a, b):
+        return self.answer
+
+
+@pytest.mark.parametrize("answer, message", [
+    (Comparison.BETTER, "the worst lottery beats 'a'; 'r0' is not the floor"),
+    (Comparison.WORSE,
+     "the best lottery loses to 'a'; 'r1' is not the ceiling"),
+], ids=["floor", "ceiling"])
+def test_vnm_elicit_refuses_a_contradicted_bracket(answer, message):
+    with pytest.raises(NonMonotoneOracle, match=message):
+        vnm_elicit(ConstantOracle(answer), ["r0", "a", "r1"], "r0", "r1")
 
 
 # -- Savage -------------------------------------------------------------------

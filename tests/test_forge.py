@@ -5,6 +5,9 @@ construction promises a postcondition (image location, amplitudes,
 agreement) and the test recomputes it from the matrix alone.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,19 +82,60 @@ def test_branching_amplitudes_quarter_three_quarters(std6):
     assert mags[1] == pytest.approx(0.75, abs=TOL)
 
 
-def test_branching_must_stay_in_own_reward(std6):
-    p = std6.problem
-    psi = StateVector(p.macrostate("m4").subspace.basis[:, 0])
-    with pytest.raises(NotSubevent):
-        ActForge(p).branching_act(psi, (0.5, 0.5), targets=("m4", "m0"))
+def test_branching_weights_follow_the_members_in_id_order(std8):
+    # psi sits in m7, yet the first weight goes to m6: the i-th weight
+    # lands on the i-th lowest-id member of psi's reward r1 = {m6, m7}
+    p = std8.problem
+    psi = StateVector(p.macrostate("m7").subspace.basis[:, 0])
+    out = ActForge(p).branching_act(psi, (0.2, 0.8)).apply(psi)
+    got = [float(project(p.macrostate(m).subspace, out).norm ** 2)
+           for m in ("m6", "m7")]
+    assert got == pytest.approx([0.2, 0.8], abs=TOL)
 
 
 def test_branching_on_overlapping_members_is_a_typed_failure(overlap2):
-    # m2 and m3 overlap, so fresh directions cannot be made orthogonal
+    # the picks are m2 and m3, which overlap, so fresh directions cannot
+    # be made orthogonal
     p = overlap2.problem
     psi = StateVector(p.macrostate("m2").subspace.basis[:, 0])
     with pytest.raises((CannotOrthogonalize, InsufficientDimension)):
-        ActForge(p).branching_act(psi, (0.5, 0.5), targets=("m2", "m3"))
+        ActForge(p).branching_act(psi, (0.5, 0.5))
+
+
+# -- placement rule -----------------------------------------------------------
+
+def test_pick_member_takes_the_lowest_id_member(std6):
+    p = std6.problem
+    assert ActForge(p).pick_member(p.reward("r1"), 1) == "m4"
+
+
+def test_pick_member_skips_excluded_members(std6):
+    p = std6.problem
+    forge = ActForge(p)
+    assert forge.pick_member(p.reward("r1"), 1, exclude={"m4"}) == "m5"
+    with pytest.raises(InsufficientDimension):
+        forge.pick_member(p.reward("r1"), 1, exclude=("m4", "m5"))
+
+
+def test_pick_member_needs_room(std6):
+    p = std6.problem
+    forge = ActForge(p)
+    forge.reward_act("m0", "r1")  # uses m4's one direction
+    assert forge.pick_member(p.reward("r1"), 1) == "m5"
+    with pytest.raises(InsufficientDimension,
+                       match="^no member of reward 'r1' has 2 fresh "
+                             r"direction\(s\) available$"):
+        forge.pick_member(p.reward("r1"), 2)
+
+
+def test_clone_copies_the_cursors(std6):
+    p = std6.problem
+    forge = ActForge(p)
+    forge.reward_act("m0", "r1")
+    twin = forge.clone()
+    assert twin.spare("m4") == 0
+    twin.reward_act("m1", "r1")
+    assert (forge.spare("m5"), twin.spare("m5")) == (1, 0)
 
 
 # -- weighted acts ------------------------------------------------------------
@@ -224,3 +268,37 @@ def test_forged_acts_are_isometries(seed, nrewards):
         return
     g = act.matrix.conj().T @ act.matrix
     assert np.allclose(g, np.eye(act.matrix.shape[1]), atol=TOL)
+
+
+# -- encapsulation ------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qdtbench"
+
+
+def _forge_privates() -> set[str]:
+    """Private method and attribute names of ActForge, read from forge.py."""
+    tree = ast.parse((SRC / "forge.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ActForge")
+    names = {node.name for node in cls.body
+             if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_only_forge_touches_forge_internals():
+    # placement and cursor bookkeeping stay behind ActForge's public
+    # methods (pick_member, spare, clone and the constructions)
+    private = _forge_privates()
+    assert {"_cursor", "_alloc", "_macrostate_of"} <= private
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "forge.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hits += [f"{path.name}:{node.lineno}: {node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not hits, hits

@@ -289,6 +289,26 @@ def test_cli_elicit_recovers_planted_value():
     assert b"rA" in res.stdout
 
 
+def test_cli_elicit_reports_a_refused_elicitation(monkeypatch, tmp_path,
+                                                  capsys):
+    # no bundled oracle reaches this branch, so the elicitation is stubbed
+    from qdtbench import preference
+    from qdtbench.errors import NonMonotoneOracle
+
+    def refuse(*args, **kwargs):
+        raise NonMonotoneOracle("stub refusal")
+
+    monkeypatch.setattr(preference, "elicit_utility", refuse)
+    report = tmp_path / "elicit.json"
+    assert qdt_cli.main(["elicit", "std6", "--report", str(report)]) == 1
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["ok"] is False
+    assert doc["error"] == "stub refusal"
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["instance std6.json: elicitation failed: stub refusal",
+                   "RESULT fail"]
+
+
 def test_cli_savage_brackets_planted_probability():
     res = cli("savage", "--cells", "8")
     assert res.returncode == 0

@@ -14,7 +14,8 @@ from qdtbench import audit, preference
 from qdtbench.audit import (LEMMAS, check_lemmas, discriminable_support,
                             find_counterexample, null_probe_catalog)
 from qdtbench.comparison import Comparison
-from qdtbench.errors import MissingUtility
+from qdtbench.errors import (InsufficientDimension, IntransitiveOracle,
+                             MissingUtility, NonMonotoneOracle)
 from qdtbench.forge import ActForge, identity_act
 from qdtbench.hilbert import StateVector
 from qdtbench.preference import (BornOracle, CountingOracle,
@@ -24,6 +25,7 @@ from qdtbench.preference import (BornOracle, CountingOracle,
                                  is_standard_act, make_standard_act,
                                  reduce_to_standard, reward_order,
                                  standard_weight)
+from qdtbench.problem import smallest_event_ids
 
 TOL = 1e-9
 
@@ -118,6 +120,20 @@ def test_reduce_to_standard_matches_eu(std6):
     assert cmpres is Comparison.TIE
 
 
+def test_reduce_to_standard_refuses_without_a_free_anchor_member(std6):
+    # the forge has spent both members of the best reward r1, so the
+    # standard block on the rA branch has nowhere to put its r1 weight
+    p, util = std6.problem, std6.utility
+    psi = probe_state(p, "m0")
+    act = ActForge(p).weighted_act(psi, {"rA": 1.0})
+    forge = ActForge(p)
+    forge.reward_act("m0", "r1")
+    forge.reward_act("m1", "r1")
+    with pytest.raises(InsufficientDimension,
+                       match="no member of reward 'r1'"):
+        reduce_to_standard(p, psi, act, util, forge=forge)
+
+
 # -- elicitation --------------------------------------------------------------
 
 def test_elicit_recovers_planted_table(std8):
@@ -143,6 +159,66 @@ def test_reward_order_tiers(std6):
     p, util = std6.problem, std6.utility
     tiers = reward_order(p, BornOracle(p, util))
     assert tiers == [["r1"], ["rA"], ["r0"]]
+
+
+class WeightOracle(preference.PreferenceOracle):
+    """Answers from the first act's best-reward weight alone; elicitation
+    always puts the standard act first."""
+
+    def __init__(self, p, answer):
+        self.p, self.answer = p, answer
+
+    def compare(self, psi, u_act, v_act):
+        return self.answer(standard_weight(self.p, psi, u_act))
+
+
+def _tie_at_half(at_0, inside, at_1):
+    """At weight 0, inside (0, 1) and at 1; a tie at exactly one half."""
+    def answer(alpha):
+        if abs(alpha - 0.5) <= TOL:
+            return Comparison.TIE
+        if alpha <= TOL:
+            return at_0
+        return at_1 if alpha >= 1 - TOL else inside
+    return answer
+
+
+@pytest.mark.parametrize("answer, message", [
+    (lambda alpha: Comparison.BETTER,
+     "zero-weight standard act beats reward 'rA'"),
+    (lambda alpha: Comparison.WORSE,
+     "full-weight standard act loses to reward 'rA'"),
+    # bisection ties at 1/2 at once; the screen then probes 1/2 +- 10 tol
+    (_tie_at_half(Comparison.WORSE, Comparison.WORSE, Comparison.BETTER),
+     "oracle prefers reward 'rA' above the elicited indifference weight"),
+    (_tie_at_half(Comparison.WORSE, Comparison.BETTER, Comparison.BETTER),
+     "oracle disprefers reward 'rA' below the elicited indifference weight"),
+], ids=["worst-anchor", "best-anchor", "screen-above", "screen-below"])
+def test_elicit_refuses_a_non_monotone_oracle(std6, answer, message):
+    p = std6.problem
+    with pytest.raises(NonMonotoneOracle, match=message):
+        elicit_utility(p, WeightOracle(p, answer))
+
+
+class CycleOracle(preference.PreferenceOracle):
+    """Ranks reward deliveries in a cycle: r0 over rA over r1 over r0."""
+
+    cycle = ("r0", "rA", "r1")
+
+    def __init__(self, p):
+        self.p = p
+
+    def compare(self, psi, u_act, v_act):
+        a, b = (self.cycle.index(self.p.reward_of_macrostate(
+            min(smallest_event_ids(self.p, act)))) for act in (u_act, v_act))
+        return {0: Comparison.TIE, 1: Comparison.BETTER,
+                2: Comparison.WORSE}[(b - a) % 3]
+
+
+def test_reward_order_refuses_a_cycle(std6):
+    p = std6.problem
+    with pytest.raises(IntransitiveOracle, match="admit no total order"):
+        reward_order(p, CycleOracle(p))
 
 
 # -- null pairs ---------------------------------------------------------------
