@@ -34,7 +34,7 @@ from .errors import (CannotOrthogonalize, DomainMismatch,
                      NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act, restrict_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
-                      TOL_ORTH, acts_agree_on, project)
+                      TOL_ORTH, _norm, acts_agree_on, project)
 from .io import encode_matrix, encode_vector
 from .preference import (BornOracle, DefinitionalNullTest, PreferenceOracle,
                          UtilityTable, accessible_compare, elicit_utility,
@@ -128,7 +128,7 @@ def random_state_in(sub: Subspace, rng: np.random.Generator) -> StateVector:
     """Haar-uniform unit state inside a subspace."""
     while True:
         c = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
-        n = np.linalg.norm(c)
+        n = _norm(c)
         if n > DRAW_NORM_MIN:
             return StateVector(sub.basis @ (c / n))
 
@@ -370,7 +370,7 @@ def null_probe_catalog(p: QuantumDecisionProblem, support_ids,
             if target is None:
                 continue
             fresh = p.macrostate(target).subspace.basis[:, :mac.subspace.dim]
-            op = keep + fresh @ mac.subspace.basis.conj().T
+            op = keep + fresh @ mac.subspace._adj
             acts.append(PartialIsometryAct(
                 domain, op @ domain.basis,
                 label=f"null-probe:{mstar}->{rid}"))
@@ -1323,14 +1323,14 @@ def _decompositions(p: QuantumDecisionProblem,
             bases = [p.macrostate(m).subspace.basis for m in subset]
             stacked = np.hstack(bases)
             coeff, *_ = np.linalg.lstsq(stacked, psi.vec, rcond=None)
-            if np.linalg.norm(stacked @ coeff - psi.vec) > TOL_ORTH:
+            if _norm(stacked @ coeff - psi.vec) > TOL_ORTH:
                 continue
             norms: dict[str, float] = {}
             col = 0
             degenerate = False
             for m, b in zip(subset, bases):
                 k = b.shape[1]
-                comp_norm = float(np.linalg.norm(coeff[col:col + k]))
+                comp_norm = _norm(coeff[col:col + k])
                 col += k
                 if comp_norm <= TOL_ORTH:
                     degenerate = True  # same split as a smaller subset

@@ -23,6 +23,10 @@ PROB_TOL = 1e-12
 #: refuse a Savage bracket over more cells than this; an oracle without
 #: a utility representation checks equipartition on n(n-1)/2 bet pairs
 CELLS_GUARD = 3_000
+#: refuse VNM checks over lotteries with more triples than this; Ordering
+#: walks every triple, and the Archimedean chains come from every
+#: ordered one
+VNM_TRIPLE_GUARD = 50_000
 
 
 def _check_sum(values: Iterable[float], what: str) -> None:

@@ -303,8 +303,15 @@ def cmd_classical_vnm(args) -> int:
         lotteries += [cls.Lottery({best: 0.5, mid: 0.5}),
                       cls.Lottery({best: 0.5, worst: 0.5}),
                       cls.Lottery({mid: 0.5, worst: 0.5})]
+    drawn = max(2, args.samples // 20)
+    n = len(lotteries) + drawn
+    triples = math.comb(n, 3)
+    if triples > cls.VNM_TRIPLE_GUARD:
+        raise SeriesTooLarge(
+            f"--samples {args.samples} makes {n} lotteries with {triples} "
+            f"triples, above the triple guard of {cls.VNM_TRIPLE_GUARD}")
     rng = np.random.default_rng([seed, 7])
-    for _ in range(max(2, args.samples // 20)):
+    for _ in range(drawn):
         probs = rng.dirichlet(np.ones(len(rids)))
         lotteries.append(cls.Lottery(dict(zip(rids, probs))))
     checks = cls.check_vnm_axioms(lotteries, oracle,

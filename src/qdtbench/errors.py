@@ -55,7 +55,7 @@ class CatalogTooLarge(QdtError):
 
 
 class SeriesTooLarge(QdtError):
-    """A branching or Savage series asks for more work than its guard."""
+    """A branching, Savage or VNM series asks for more work than its guard."""
 
 
 class WeightSumError(QdtError):

@@ -25,7 +25,7 @@ from .errors import (CannotOrthogonalize, DomainMismatch,
                      InsufficientDimension, NormMismatch, NotSubevent,
                      OutsideDomain, ZeroSubspace)
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
-                      _orthonormal_columns)
+                      _norm, _orthonormal_columns)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
                       smallest_event_ids)
 
@@ -46,7 +46,7 @@ def restrict_act(act: PartialIsometryAct, sub: Subspace) -> PartialIsometryAct:
         raise NotSubevent("restriction target is not inside the act's domain")
     if sub.is_zero:
         raise ZeroSubspace("cannot restrict an act to the zero subspace")
-    coords = act.domain.basis.conj().T @ sub.basis
+    coords = act.domain._adj @ sub.basis
     return PartialIsometryAct(sub, act.matrix @ coords)
 
 
@@ -57,7 +57,7 @@ def compose_acts(p: QuantumDecisionProblem, outer: PartialIsometryAct,
     if not outer.domain.contains_subspace(event):
         raise DomainMismatch(
             "outer act is not defined on the inner act's smallest event")
-    coords = outer.domain.basis.conj().T @ inner.matrix
+    coords = outer.domain._adj @ inner.matrix
     return PartialIsometryAct(inner.domain, outer.matrix @ coords)
 
 
@@ -158,16 +158,15 @@ class ActForge:
                            psi_hat: StateVector) -> np.ndarray:
         """Orthonormal coordinate basis of the macrostate whose first
         vector is psi_hat (modified Gram-Schmidt over the stored basis)."""
-        b = mac.subspace.basis
         m = mac.subspace.dim
-        first = b.conj().T @ psi_hat.vec
-        cols = [first / np.linalg.norm(first)]
+        first = mac.subspace._adj @ psi_hat.vec
+        cols = [first / _norm(first)]
         for j in range(m):
             v = np.zeros(m, dtype=np.complex128)
             v[j] = 1.0
             for c in cols:
                 v = v - c * np.vdot(c, v)
-            n = np.linalg.norm(v)
+            n = _norm(v)
             if n > GRAM_SCHMIDT_MIN:
                 cols.append(v / n)
             if len(cols) == m:

@@ -9,6 +9,8 @@ inputs always canonicalize identically.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, OutsideDomain, ZeroState
@@ -21,6 +23,13 @@ TOL_RANK = 1e-9   # numerical rank decisions
 TOL_ZERO = 1e-12  # a state below this norm has no direction
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a 1-d complex array: numpy's own arithmetic for
+    `np.linalg.norm(v)`, bit for bit, without its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _as_complex_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -31,7 +40,7 @@ def _as_complex_matrix(a) -> np.ndarray:
 class StateVector:
     """A vector in C^d.  Immutable, with cheap norm/dim accessors."""
 
-    __slots__ = ("vec",)
+    __slots__ = ("vec", "_unit")
 
     def __init__(self, components):
         vec = np.array(components, dtype=np.complex128).reshape(-1)
@@ -41,6 +50,7 @@ class StateVector:
             raise ValueError("state vector has non-finite components")
         vec.setflags(write=False)
         self.vec = vec
+        self._unit = None
 
     @classmethod
     def _trusted(cls, vec: np.ndarray) -> "StateVector":
@@ -52,6 +62,7 @@ class StateVector:
         vec.setflags(write=False)
         state = object.__new__(cls)
         state.vec = vec
+        state._unit = None
         return state
 
     @property
@@ -60,18 +71,21 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return _norm(self.vec)
 
     def unit(self) -> "StateVector":
-        """Normalized copy; raises ZeroState below numerical resolution."""
-        n = self.norm
-        if n < TOL_ZERO:
-            raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
-        return StateVector._trusted(self.vec / n)
+        """Normalized copy, computed once per state; raises ZeroState
+        below numerical resolution."""
+        if self._unit is None:
+            n = self.norm
+            if n < TOL_ZERO:
+                raise ZeroState(f"cannot normalize a state of norm {n:.3e}")
+            self._unit = StateVector._trusted(self.vec / n)
+        return self._unit
 
     def allclose(self, other: "StateVector") -> bool:
         self._check_dim(other)
-        return bool(np.linalg.norm(self.vec - other.vec) <= TOL_ORTH)
+        return _norm(self.vec - other.vec) <= TOL_ORTH
 
     def _check_dim(self, other: "StateVector") -> None:
         if self.dim != other.dim:
@@ -105,10 +119,12 @@ class Subspace:
 
     The zero subspace (k = 0) is a first-class value.  Equality is
     projector equality, so two Subspace objects built from different
-    generating sets of the same span compare equal.
+    generating sets of the same span compare equal.  `_adj` is the
+    basis's conjugate transpose; the projector and the complement are
+    computed at first use and kept.
     """
 
-    __slots__ = ("basis", "_proj")
+    __slots__ = ("basis", "_adj", "_proj", "_comp")
 
     def __init__(self, basis):
         b = _as_complex_matrix(basis)
@@ -117,14 +133,18 @@ class Subspace:
             raise ValueError("ambient dimension must be positive")
         if k > d:
             raise ValueError(f"{k} basis vectors cannot be independent in C^{d}")
+        adj = b.conj().T
         if k > 0:
-            gram = b.conj().T @ b
+            gram = adj @ b
             if not np.max(np.abs(gram - np.eye(k))) <= TOL_ORTH:
                 raise ValueError("basis columns are not orthonormal; "
                                  "use orthonormalize() for raw spans")
         b.setflags(write=False)
+        adj.setflags(write=False)
         self.basis = b
+        self._adj = adj
         self._proj = None
+        self._comp = None
 
     # -- constructors ---------------------------------------------------
 
@@ -152,7 +172,7 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         if self._proj is None:
-            p = self.basis @ self.basis.conj().T
+            p = self.basis @ self._adj
             p.setflags(write=False)
             self._proj = p
         return self._proj
@@ -164,14 +184,14 @@ class Subspace:
         if psi.dim != self.ambient_dim:
             raise DimensionMismatch(
                 f"state dim {psi.dim} vs ambient {self.ambient_dim}")
-        residual = psi.vec - self.basis @ (self.basis.conj().T @ psi.vec)
-        return bool(np.linalg.norm(residual) <= TOL_ORTH)
+        residual = psi.vec - self.basis @ (self._adj @ psi.vec)
+        return _norm(residual) <= TOL_ORTH
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if other.is_zero:
             return True
-        res = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
+        res = other.basis - self.basis @ (self._adj @ other.basis)
         return bool(np.max(np.linalg.norm(res, axis=0)) <= TOL_ORTH)
 
     def equals(self, other: "Subspace") -> bool:
@@ -183,7 +203,7 @@ class Subspace:
         self._check_ambient(other)
         if self.is_zero or other.is_zero:
             return True
-        return bool(np.max(np.abs(self.basis.conj().T @ other.basis))
+        return bool(np.max(np.abs(self._adj @ other.basis))
                     <= TOL_ORTH)
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -220,8 +240,8 @@ def project(subspace: Subspace, psi: StateVector) -> StateVector:
     if psi.dim != subspace.ambient_dim:
         raise DimensionMismatch(
             f"state dim {psi.dim} vs ambient {subspace.ambient_dim}")
-    b = subspace.basis
-    return StateVector._trusted(b @ (b.conj().T @ psi.vec))
+    return StateVector._trusted(subspace.basis
+                                @ (subspace._adj @ psi.vec))
 
 
 # -- lattice operations ---------------------------------------------------
@@ -233,7 +253,13 @@ def join(e: Subspace, f: Subspace) -> Subspace:
 
 
 def complement(e: Subspace) -> Subspace:
-    """Orthogonal complement."""
+    """Orthogonal complement, computed once per Subspace object."""
+    if e._comp is None:
+        e._comp = _complement(e)
+    return e._comp
+
+
+def _complement(e: Subspace) -> Subspace:
     d = e.ambient_dim
     if e.is_zero:
         return Subspace.full(d)
@@ -242,7 +268,7 @@ def complement(e: Subspace) -> Subspace:
     # scipy.linalg.null_space(basis^H), computed the same way: full SVD,
     # rank cut at max(s) * eps * max(shape), then the trailing rows of
     # vh.  Rows of basis^H are orthonormal, so the cut is numerically clean.
-    a = e.basis.conj().T
+    a = e._adj
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
     num = np.sum(s > tol, dtype=int)
@@ -291,9 +317,8 @@ class PartialIsometryAct:
         if psi.dim != self.domain.ambient_dim:
             raise DimensionMismatch(
                 f"state dim {psi.dim} vs ambient {self.domain.ambient_dim}")
-        b = self.domain.basis
-        coords = b.conj().T @ psi.vec
-        residual = float(np.linalg.norm(psi.vec - b @ coords))
+        coords = self.domain._adj @ psi.vec
+        residual = _norm(psi.vec - self.domain.basis @ coords)
         if residual > TOL_ORTH:
             raise OutsideDomain(
                 f"state lies {residual:.3e} outside the act's domain")
@@ -301,7 +326,7 @@ class PartialIsometryAct:
 
     def as_operator(self) -> np.ndarray:
         """Ambient d x d matrix: the act on its domain, zero on the complement."""
-        return self.matrix @ self.domain.basis.conj().T
+        return self.matrix @ self.domain._adj
 
     def range_subspace(self) -> Subspace:
         return Subspace(self.matrix.copy())

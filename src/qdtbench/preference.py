@@ -24,7 +24,7 @@ from .errors import (CatalogTooLarge, DimensionMismatch, DomainMismatch,
                      IntransitiveOracle, MissingUtility, NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
-                      complement, meet, project, vanishes_on)
+                      _norm, complement, meet, project, vanishes_on)
 from .problem import (AccessibleState, QuantumDecisionProblem,
                       branch_decomposition, smallest_event, smallest_event_ids)
 
@@ -77,8 +77,8 @@ def expected_utility(p: QuantumDecisionProblem, psi: StateVector,
         raise DimensionMismatch(f"state dim {phi.size} vs problem dim {p.dim}")
     total = 0.0
     for rid in p.reward_ids:
-        b = p.reward_subspace(rid).basis
-        w = float(np.linalg.norm(b @ (b.conj().T @ phi))) ** 2
+        r = p.reward_subspace(rid)
+        w = _norm(r.basis @ (r._adj @ phi)) ** 2
         total += w * utility.of(rid)
     return float(total)
 
@@ -87,8 +87,12 @@ def born_compare(p: QuantumDecisionProblem, psi: StateVector,
                  u_act: PartialIsometryAct, v_act: PartialIsometryAct,
                  utility: UtilityTable) -> Comparison:
     """Three-way comparison by expected utility within TIE_BAND."""
-    du = expected_utility(p, psi, u_act, utility)
-    dv = expected_utility(p, psi, v_act, utility)
+    return _by_utility(expected_utility(p, psi, u_act, utility),
+                       expected_utility(p, psi, v_act, utility))
+
+
+def _by_utility(du: float, dv: float) -> Comparison:
+    """The tie-band rule: values within TIE_BAND tie."""
     if abs(du - dv) <= TIE_BAND:
         return Comparison.TIE
     return Comparison.BETTER if du > dv else Comparison.WORSE
@@ -111,17 +115,46 @@ class PreferenceOracle(ABC):
         ...
 
 
+class _StateMemo:
+    """An oracle's value of each act at the state object it was last
+    asked about.
+
+    Entries are keyed by act identity and hold their act, so an id
+    cannot be reused while it is a key.  A different state object drops
+    every entry, so the memo holds at most one state's acts.  Sound
+    because `compare` is pure and states and acts are immutable.
+    """
+
+    __slots__ = ("_value", "_state", "_entries")
+
+    def __init__(self, value):
+        self._value = value
+        self._state = None
+        self._entries: dict[int, tuple[PartialIsometryAct, object]] = {}
+
+    def __call__(self, psi: StateVector, act: PartialIsometryAct):
+        if psi is not self._state:
+            self._state, self._entries = psi, {}
+        entry = self._entries.get(id(act))
+        if entry is None:
+            entry = self._entries[id(act)] = (act, self._value(psi, act))
+        return entry[1]
+
+
 class BornOracle(PreferenceOracle):
-    """The squared-amplitude expected-utility order."""
+    """The squared-amplitude expected-utility order.  Each act's
+    expected utility is computed once per state object."""
 
     name = "born"
 
     def __init__(self, p: QuantumDecisionProblem, utility: UtilityTable):
         self.p = p
         self.utility = utility
+        self._eu = _StateMemo(
+            lambda psi, act: expected_utility(p, psi, act, utility))
 
     def compare(self, psi, u_act, v_act) -> Comparison:
-        return born_compare(self.p, psi, u_act, v_act, self.utility)
+        return _by_utility(self._eu(psi, u_act), self._eu(psi, v_act))
 
 
 class CountingOracle(PreferenceOracle):
@@ -137,13 +170,13 @@ class CountingOracle(PreferenceOracle):
 
     def __init__(self, p: QuantumDecisionProblem):
         self.p = p
+        self._count = _StateMemo(self.branch_count)
 
     def branch_count(self, psi: StateVector, act: PartialIsometryAct) -> int:
         return len(branch_decomposition(self.p, act.apply(psi.unit())))
 
     def compare(self, psi, u_act, v_act) -> Comparison:
-        cu = self.branch_count(psi, u_act)
-        cv = self.branch_count(psi, v_act)
+        cu, cv = self._count(psi, u_act), self._count(psi, v_act)
         if cu == cv:
             return Comparison.TIE
         return Comparison.BETTER if cu > cv else Comparison.WORSE

@@ -200,7 +200,7 @@ def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
         for i, a in enumerate(ms):
             for b in ms[i + 1:]:
                 overlap = float(np.max(np.abs(
-                    a.subspace.basis.conj().T @ b.subspace.basis)))
+                    a.subspace._adj @ b.subspace.basis)))
                 if overlap > TOL_ORTH:
                     rep.add("orthogonality",
                             f"macrostates {a.id!r} and {b.id!r} overlap "
@@ -324,8 +324,7 @@ def smallest_event_ids(p: QuantumDecisionProblem,
         raise DimensionMismatch("act ambient dimension does not match problem")
     touched = set()
     for m in p.macrostates:
-        amp = np.linalg.norm(
-            m.subspace.basis.conj().T @ act.matrix, axis=0)
+        amp = np.linalg.norm(m.subspace._adj @ act.matrix, axis=0)
         if np.any(amp > TOL_ORTH):
             touched.add(m.id)
     return frozenset(touched)

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtbench.errors import OutsideDomain
-from qdtbench.hilbert import (TOL_RANK, PartialIsometryAct, StateVector,
-                              Subspace, _orthonormal_columns, acts_agree_on,
-                              acts_equal, complement, join, meet,
-                              orthonormalize, project)
+from qdtbench.errors import OutsideDomain, ZeroState
+from qdtbench.hilbert import (TOL_RANK, TOL_ZERO, PartialIsometryAct,
+                              StateVector, Subspace, _norm,
+                              _orthonormal_columns, acts_agree_on, acts_equal,
+                              complement, join, meet, orthonormalize, project)
 
 from conftest import unitary_frame
 
@@ -67,6 +67,20 @@ def test_internal_states_match_public_constructor(dim):
         for got, raw in cases:
             assert got.vec.tobytes() == StateVector(raw).vec.tobytes()
             assert not got.vec.flags.writeable
+        # the kept adjoint and unit are the arrays a fresh call would give
+        adj = b.conj().T
+        assert sub._adj.tobytes() == adj.tobytes()
+        assert sub._adj.strides == adj.strides
+        assert not sub._adj.flags.writeable
+        for state in (psi, inside, project(sub, psi), act.apply(inside)):
+            assert state.unit() is state.unit()
+
+
+def test_unit_of_a_zero_state_is_refused_every_time():
+    zero = StateVector(np.zeros(3))
+    for _ in range(2):
+        with pytest.raises(ZeroState):
+            zero.unit()
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 0.0],
@@ -146,6 +160,41 @@ def test_complement_matches_scipy_null_space_bit_for_bit(dim, kind):
             ref = scipy_linalg.null_space(e.basis.conj().T)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+def test_complement_is_kept_per_subspace():
+    rng = np.random.default_rng(31)
+    for dim in range(1, 9):
+        for rank in range(dim + 1):
+            e = random_subspace(dim, rank, rng) if rank else Subspace.zero(dim)
+            c = complement(e)
+            assert complement(e) is c
+            fresh = complement(Subspace(e.basis))
+            assert fresh is not c
+            assert c.basis.tobytes() == fresh.basis.tobytes()
+
+
+# -- the 2-norm helper -------------------------------------------------------
+
+_MAGNITUDES = ([10.0 ** k for k in range(-13, 4)]
+               + [TOL_ZERO * (1 + k * 2.0 ** -52) for k in (-2, -1, 0, 1, 2)])
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_norm_helper_is_numpys_2_norm_bit_for_bit(dim):
+    rng = np.random.default_rng([dim, 41])
+    for scale in _MAGNITUDES:
+        for _ in range(10):
+            frame = unitary_frame("haar", dim, rng) * scale
+            # a strided column, a contiguous row and a copied column
+            column = np.ascontiguousarray(frame[:, -1])
+            for v in (frame[:, 0], frame[0], column):
+                want = np.linalg.norm(v)
+                got = _norm(v)
+                assert type(got) is float
+                assert got == want, (dim, scale)
+                norm = StateVector(v).norm
+                assert type(norm) is float and norm == want
 
 
 def _known_rank_inputs(dim: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -9,6 +9,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from qdtbench import branching
 from qdtbench import cli as qdt_cli
 from qdtbench.branching import (DEPTH_GUARD, ROUNDS_GUARD, TREE_GUARD,
                                 coarse_grain_count, tree_words)
-from qdtbench.classical import CELLS_GUARD
+from qdtbench.classical import CELLS_GUARD, VNM_TRIPLE_GUARD
 from qdtbench.errors import ParseError, SchemaError, ValidationError
 from qdtbench.io import dumps_instance, load_instance, loads_instance
 
@@ -323,6 +324,18 @@ def test_cli_classical_lex_fails_archimedean():
     assert res2.returncode == 0
 
 
+def test_cli_classical_refuses_past_the_triple_guard(capsys):
+    # std6 has 3 rewards, so 6 fixed lotteries: 1,239 samples draw 61
+    # more (C(67, 3) = 47,905 triples) and 1,240 draw 62 (50,116)
+    assert math.comb(6 + 1239 // 20, 3) <= VNM_TRIPLE_GUARD
+    assert qdt_cli.main(["classical-vnm", "--seed", "0", "--samples",
+                         "1240", "std6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --samples 1240 makes 68 lotteries with 50116 "
+                   "triples, above the triple guard of 50000\n")
+
+
 @pytest.mark.xfail(strict=True, reason="Archimedean tries t only down to "
                    "1 - 1e-4; a chain whose A and B differ by less in "
                    "expected utility finds no upper witness")
@@ -418,14 +431,27 @@ _REFUSED_DEPTH = {k: _first_refused_depth(k) for k in range(2, 9)}
 _PAST = st.one_of(st.integers(1, 50), st.just(10 ** 12))
 
 
+def _first_refused_samples() -> int:
+    """A --samples value classical-vnm refuses on any instance: it draws
+    samples // 20 lotteries, whose triples alone pass the triple guard."""
+    m = 3
+    while math.comb(m, 3) <= VNM_TRIPLE_GUARD:
+        m += 1
+    return 20 * m
+
+
 @st.composite
 def _past_guard_argv(draw):
     """Otherwise legal series arguments just past a cost guard: one
     entry too large, or legal entries too many for the whole call."""
     kind = draw(st.sampled_from(["simulate", "simulate-list", "sweep-grain",
-                                 "savage"]))
+                                 "savage", "classical-vnm"]))
     if kind == "savage":
         return ["savage", "--cells", str(CELLS_GUARD + draw(_PAST))]
+    if kind == "classical-vnm":
+        samples = _first_refused_samples() - 1 + draw(_PAST)
+        return ["classical-vnm", "--seed", "0", "--samples", str(samples),
+                draw(st.sampled_from(FIXTURE_NAMES))]
     if kind.startswith("simulate"):
         if kind == "simulate":
             depths = draw(st.lists(st.integers(1, 50), max_size=2))

@@ -6,11 +6,12 @@ code computing both sides.
 """
 
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from qdtbench import audit, preference
+from qdtbench import audit, hilbert, preference
 from qdtbench.audit import (LEMMAS, check_lemmas, discriminable_support,
                             find_counterexample, null_probe_catalog)
 from qdtbench.comparison import Comparison
@@ -26,6 +27,8 @@ from qdtbench.preference import (BornOracle, CountingOracle,
                                  reduce_to_standard, reward_order,
                                  standard_weight)
 from qdtbench.problem import smallest_event_ids
+
+from conftest import load_fixture
 
 TOL = 1e-9
 
@@ -283,6 +286,121 @@ def test_definitional_null_test_meets_once(std6, ids, monkeypatch):
                          BornOracle(p, std6.utility)).is_null(
         p.event_of(list(ids)))
     assert len(calls) <= 1
+
+
+def test_nullity_takes_each_complement_once(std8, monkeypatch):
+    # complements are kept per Subspace object, so however often the
+    # definitional test asks, each input's complement is computed once
+    p, util = std8.problem, std8.utility
+    computed, asked = [], []
+    real_complement, real_compute = hilbert.complement, hilbert._complement
+
+    def counted_complement(e):
+        asked.append(e)
+        return real_complement(e)
+
+    monkeypatch.setattr(hilbert, "complement", counted_complement)
+    monkeypatch.setattr(preference, "complement", counted_complement)
+    monkeypatch.setattr(hilbert, "_complement",
+                        lambda e: computed.append(e) or real_compute(e))
+    report = check_lemmas(p, BornOracle(p, util), util, samples=100, seed=0)
+    assert report.results[LEMMAS.index("Nullity")].status == "pass"
+    assert len({id(e) for e in computed}) == len(computed)
+    assert 2 * len(computed) < len(asked)
+
+
+# -- kept oracle values ------------------------------------------------------
+
+def test_born_oracle_values_each_act_once_per_state(std8, monkeypatch):
+    p, util = std8.problem, std8.utility
+    evaluated = Counter()
+    real = preference.expected_utility
+
+    def counted(p_, psi, act, utility):
+        evaluated[id(act)] += 1
+        return real(p_, psi, act, utility)
+
+    monkeypatch.setattr(preference, "expected_utility", counted)
+    oracle = BornOracle(p, util)
+    rng = np.random.default_rng(3)
+    for mac in p.macrostates:
+        psi, acts = audit.macrostate_probe_acts(p, mac, rng)
+        evaluated.clear()
+        for u, v in permutations(acts, 2):
+            oracle.compare(psi, u, v)
+        assert evaluated == Counter({id(a): 1 for a in acts}), mac.id
+
+
+def test_counting_oracle_counts_each_act_once_per_state(std6, monkeypatch):
+    p = std6.problem
+    decomposed = []
+    real = preference.branch_decomposition
+    monkeypatch.setattr(preference, "branch_decomposition",
+                        lambda p_, phi: decomposed.append(phi)
+                        or real(p_, phi))
+    oracle = CountingOracle(p)
+    psi, acts = audit.macrostate_probe_acts(p, p.macrostates[0])
+    for u, v in permutations(acts, 2):
+        oracle.compare(psi, u, v)
+    assert len(decomposed) == len(acts)
+
+
+def test_oracle_keeps_values_for_one_state_only(std6, monkeypatch):
+    p, util = std6.problem, std6.utility
+    evaluated = []
+    real = preference.expected_utility
+    monkeypatch.setattr(preference, "expected_utility",
+                        lambda p_, psi, act, u: evaluated.append(act)
+                        or real(p_, psi, act, u))
+    oracle = BornOracle(p, util)
+    psi1, acts1 = audit.macrostate_probe_acts(p, p.macrostate("m0"))
+    psi2, acts2 = audit.macrostate_probe_acts(p, p.macrostate("m2"))
+
+    def kept_acts():
+        return {id(a) for a, _ in oracle._eu._entries.values()}
+
+    for psi, acts in ((psi1, acts1), (psi2, acts2), (psi1, acts1)):
+        evaluated.clear()
+        for u, v in permutations(acts, 2):
+            oracle.compare(psi, u, v)
+        assert len(evaluated) == len(acts)
+        assert kept_acts() == {id(a) for a in acts}
+    # an equal state in a new object is a new state
+    evaluated.clear()
+    oracle.compare(StateVector(psi1.vec), acts1[0], acts1[1])
+    assert len(evaluated) == 2 and len(oracle._eu._entries) == 2
+
+
+@pytest.mark.parametrize("kind", ["born", "counting", "table"])
+@pytest.mark.parametrize("name", ["std6", "std8", "overlap2"])
+def test_kept_values_answer_as_a_fresh_oracle(name, kind):
+    inst = load_fixture(name)
+    p = inst.problem
+
+    def fresh():
+        if kind == "table":
+            # a planted pair on the menu's labels, the rest by fallback
+            return TableOracle({("deliver:r0", "deliver:r1"):
+                                Comparison.BETTER}, inst.oracle("born"))
+        return inst.oracle(kind)
+
+    rng = np.random.default_rng(5)
+    questions = []
+    for mac in p.macrostates:
+        psi, acts = audit.macrostate_probe_acts(p, mac, rng)
+        questions += [(psi, u, v) for u, v in permutations(acts, 2)]
+    # one menu on a two-macrostate event, asked at several states of it
+    support = p.macrostate_ids[:2]
+    acts = null_probe_catalog(p, support)
+    for _ in range(4):
+        phi = audit.random_state_in(p.event_of(support), rng)
+        questions += [(phi, u, v) for u, v in permutations(acts, 2)]
+    # interleave the states, so kept values are dropped and taken again
+    order = rng.permutation(len(questions))
+    kept = fresh()
+    for i in list(range(len(questions))) + list(order):
+        psi, u, v = questions[i]
+        assert kept.compare(psi, u, v) is fresh().compare(psi, u, v)
 
 
 class _RecordingOracle(BornOracle):
