@@ -1367,8 +1367,7 @@ def _search_branch_uniqueness(p: QuantumDecisionProblem, budget: int,
 def _search_equivalence_step(p: QuantumDecisionProblem, budget: int,
                              seed: int) -> dict | None:
     rng = _rng(seed, 301)
-    catalog = [g for g in p.act_generators]
-    catalog += richness_catalog(p, _rng(seed, 302))
+    catalog = richness_catalog(p, _rng(seed, 302))
     for act in catalog:
         inside = [m for m in p.macrostates
                   if act.domain.contains_subspace(m.subspace)]

@@ -39,23 +39,19 @@ def _check_sum(values: Iterable[float], what: str) -> None:
 class Lottery:
     """A finite probability mixture over reward ids.
 
-    Stored as a merged, id-sorted mapping; probabilities must be
-    nonnegative and sum to one.
+    Stored as an id-sorted mapping; probabilities must be nonnegative
+    and sum to one.
     """
 
     __slots__ = ("probs",)
 
-    def __init__(self, outcomes):
+    def __init__(self, outcomes: Mapping[str, float]):
         probs: dict[str, float] = {}
-        if isinstance(outcomes, Mapping):
-            items = outcomes.items()
-        else:
-            items = [(rid, pr) for pr, rid in outcomes]
-        for rid, pr in items:
+        for rid, pr in outcomes.items():
             pr = float(pr)
             if pr < -PROB_TOL:
                 raise WeightSumError(f"negative probability {pr} on {rid!r}")
-            probs[str(rid)] = probs.get(str(rid), 0.0) + max(pr, 0.0)
+            probs[str(rid)] = max(pr, 0.0)
         _check_sum(probs.values(), "lottery probabilities sum to")
         self.probs = {k: probs[k] for k in sorted(probs) if probs[k] > 0.0}
 
@@ -229,12 +225,14 @@ def check_vnm_axioms(lotteries: Sequence[Lottery], oracle: LotteryOracle,
         if ans[a, b] is not ans[b, a].flipped():
             fails.append({"kind": "asymmetry", "a": describe(ls[a]),
                           "b": describe(ls[b])})
-    for a, b, c in combinations(range(len(ls)), 3):
+    # every order of a triple is read, so a cycle against list order shows
+    for triple in combinations(range(len(ls)), 3):
         n_ord += 1
-        cab, cbc, cac = int(ans[a, b]), int(ans[b, c]), int(ans[a, c])
-        if cab >= 0 and cbc >= 0 and cac < 0:
-            fails.append({"kind": "transitivity",
-                          "triple": [describe(ls[x]) for x in (a, b, c)]})
+        for a, b, c in permutations(triple):
+            if ans[a, b] >= 0 and ans[b, c] >= 0 and ans[a, c] < 0:
+                fails.append({"kind": "transitivity",
+                              "triple": [describe(ls[x]) for x in (a, b, c)]})
+                break
     checks.append(ClassicalCheck("Ordering", "fail" if fails else "pass",
                                  n_ord, fails))
 

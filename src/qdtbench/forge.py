@@ -27,7 +27,7 @@ from .errors import (CannotOrthogonalize, DomainMismatch,
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_NORM,
                       _norm, _orthonormal_columns)
 from .problem import (Macrostate, QuantumDecisionProblem, Reward,
-                      smallest_event_ids)
+                      smallest_event, smallest_event_ids)
 
 #: a Gram-Schmidt residual of at most this norm is dependent and dropped
 GRAM_SCHMIDT_MIN = 1e-7
@@ -53,8 +53,7 @@ def restrict_act(act: PartialIsometryAct, sub: Subspace) -> PartialIsometryAct:
 def compose_acts(p: QuantumDecisionProblem, outer: PartialIsometryAct,
                  inner: PartialIsometryAct) -> PartialIsometryAct:
     """outer after inner; outer must be available on inner's smallest event."""
-    event = p.event_of(sorted(smallest_event_ids(p, inner)))
-    if not outer.domain.contains_subspace(event):
+    if not outer.domain.contains_subspace(smallest_event(p, inner)):
         raise DomainMismatch(
             "outer act is not defined on the inner act's smallest event")
     coords = outer.domain._adj @ inner.matrix
@@ -135,11 +134,6 @@ class ActForge:
                 return m
         raise OutsideDomain("state does not lie inside any single macrostate")
 
-    def _resolve_reward(self, reward) -> Reward:
-        if isinstance(reward, Reward):
-            return reward
-        return self.problem.reward(reward)
-
     def _resolve_macrostate(self, mac) -> Macrostate:
         if isinstance(mac, Macrostate):
             return mac
@@ -218,7 +212,7 @@ class ActForge:
     def reward_act(self, mac, reward, target: str | None = None) -> PartialIsometryAct:
         """Embed a whole macrostate into one member of the given reward."""
         m = self._resolve_macrostate(mac)
-        r = self._resolve_reward(reward)
+        r = self.problem.reward(reward)
         need = m.subspace.dim
         if target is None:
             target = self.pick_member(r, need)

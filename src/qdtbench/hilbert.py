@@ -215,24 +215,13 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def orthonormalize(vectors) -> Subspace:
-    """Subspace spanned by `vectors` (StateVectors or a d x k matrix).
+def orthonormalize(matrix) -> Subspace:
+    """Subspace spanned by the columns of a d x k matrix.
 
-    Numerical rank is decided at TOL_RANK; a list of dependent or zero
-    vectors simply yields a lower-dimensional (possibly zero) subspace.
+    Numerical rank is decided at TOL_RANK; dependent or zero columns
+    simply yield a lower-dimensional (possibly zero) subspace.
     """
-    if isinstance(vectors, np.ndarray):
-        mat = _as_complex_matrix(vectors)
-    else:
-        vs = list(vectors)
-        if not vs:
-            raise ValueError("cannot infer ambient dimension from an empty list; "
-                             "use Subspace.zero(dim)")
-        dims = {v.dim for v in vs}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
-        mat = np.column_stack([v.vec for v in vs])
-    return Subspace(_orthonormal_columns(mat))
+    return Subspace(_orthonormal_columns(_as_complex_matrix(matrix)))
 
 
 def project(subspace: Subspace, psi: StateVector) -> StateVector:

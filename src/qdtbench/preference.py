@@ -20,13 +20,13 @@ import numpy as np
 
 from .comparison import (ELICIT_STEPS, ELICIT_TOL, TIE_BAND, Comparison,
                          bisect_indifference)
-from .errors import (CatalogTooLarge, DimensionMismatch, DomainMismatch,
-                     IntransitiveOracle, MissingUtility, NonMonotoneOracle)
+from .errors import (CatalogTooLarge, DimensionMismatch, IntransitiveOracle,
+                     MissingUtility, NonMonotoneOracle)
 from .forge import ActForge, compose_acts, identity_act
 from .hilbert import (PartialIsometryAct, StateVector, Subspace, TOL_ORTH,
                       _norm, complement, meet, project, vanishes_on)
 from .problem import (AccessibleState, QuantumDecisionProblem,
-                      branch_decomposition, smallest_event, smallest_event_ids)
+                      branch_decomposition, smallest_event_ids)
 
 #: act pairs the definitional null test enumerates before refusing
 MAX_NULL_PAIRS = 20000
@@ -414,14 +414,10 @@ def accessible_compare(p: QuantumDecisionProblem, acc: AccessibleState,
                        oracle: PreferenceOracle) -> Comparison:
     """Compare follow-up acts at a branched state via its witness.
 
-    Both acts must be available on the witness's smallest event; the
-    comparison is pulled back to the unbranched source state.
+    Both acts must be available on the witness's smallest event
+    (`compose_acts` refuses them otherwise); the comparison is pulled
+    back to the unbranched source state.
     """
-    event = smallest_event(p, acc.witness)
-    for a in (u_act, v_act):
-        if not a.domain.contains_subspace(event):
-            raise DomainMismatch(
-                "follow-up act is not available on the witnessed event")
     return oracle.compare(acc.source,
                           compose_acts(p, u_act, acc.witness),
                           compose_acts(p, v_act, acc.witness))

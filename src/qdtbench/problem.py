@@ -51,9 +51,9 @@ class QuantumDecisionProblem:
     """Immutable problem instance.
 
     Construction never validates geometry; run :func:`validate_problem`
-    to collect violations (the CLI does this on load).  `orthmacr=False`
-    marks a deliberately relaxed instance whose macrostates may overlap,
-    used only by the counterexample search.
+    to collect violations (the loader does this).  `orthmacr=False`
+    marks an instance that drops the orthogonality idealization: its
+    macrostates may overlap.
     """
 
     def __init__(self, dim: int, macrostates: Sequence[Macrostate],
@@ -140,7 +140,6 @@ class QuantumDecisionProblem:
 class Violation:
     kind: str
     message: str
-    data: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -151,20 +150,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, kind: str, message: str, **data) -> None:
-        self.violations.append(Violation(kind, message, dict(data)))
-
-    def summary(self) -> str:
-        if self.ok:
-            return "valid"
-        lines = [f"{len(self.violations)} violation(s):"]
-        lines += [f"  [{v.kind}] {v.message}" for v in self.violations]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok,
-                "violations": [{"kind": v.kind, "message": v.message,
-                                "data": v.data} for v in self.violations]}
+    def add(self, kind: str, message: str) -> None:
+        self.violations.append(Violation(kind, message))
 
 
 def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
@@ -187,10 +174,10 @@ def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
         if m.subspace.ambient_dim != p.dim:
             rep.add("macrostate-ambient",
                     f"macrostate {m.id!r} lives in C^{m.subspace.ambient_dim}, "
-                    f"problem is C^{p.dim}", macrostate=m.id)
+                    f"problem is C^{p.dim}")
         if m.subspace.dim == 0:
             rep.add("macrostate-zero",
-                    f"macrostate {m.id!r} is the zero subspace", macrostate=m.id)
+                    f"macrostate {m.id!r} is the zero subspace")
     if not p.macrostates:
         rep.add("macrostates", "no macrostates declared")
 
@@ -204,8 +191,7 @@ def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
                 if overlap > TOL_ORTH:
                     rep.add("orthogonality",
                             f"macrostates {a.id!r} and {b.id!r} overlap "
-                            f"(max inner product {overlap:.3e})",
-                            pair=[a.id, b.id], overlap=overlap)
+                            f"(max inner product {overlap:.3e})")
         total = sum(m.subspace.dim for m in ms)
         if total != p.dim:
             rep.add("coverage",
@@ -226,31 +212,28 @@ def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
             rep.add("reward-id", f"duplicate reward id {r.id!r}")
         rseen.add(r.id)
         if not r.members:
-            rep.add("reward-empty", f"reward {r.id!r} has no members",
-                    reward=r.id)
+            rep.add("reward-empty", f"reward {r.id!r} has no members")
         for mid in r.members:
             if mid not in known:
-                rep.add("reward-member",
-                        f"reward {r.id!r} references unknown macrostate {mid!r}",
-                        reward=r.id, macrostate=mid)
+                rep.add("reward-member", f"reward {r.id!r} references "
+                        f"unknown macrostate {mid!r}")
             elif p.orthmacr:
                 if mid in membership:
                     rep.add("reward-overlap",
                             f"macrostate {mid!r} belongs to rewards "
-                            f"{membership[mid]!r} and {r.id!r}",
-                            macrostate=mid)
+                            f"{membership[mid]!r} and {r.id!r}")
                 membership[mid] = r.id
         if r.erasure not in r.members:
             rep.add("erasure",
                     f"reward {r.id!r} erasure macrostate {r.erasure!r} "
-                    f"is not one of its members", reward=r.id)
+                    f"is not one of its members")
     if not p.rewards:
         rep.add("rewards", "no rewards declared")
     if p.orthmacr:
         unassigned = known - set(membership)
         for mid in sorted(unassigned):
             rep.add("reward-cover",
-                    f"macrostate {mid!r} belongs to no reward", macrostate=mid)
+                    f"macrostate {mid!r} belongs to no reward")
     n_r0 = sum(1 for r in p.rewards if r.is_r0)
     n_r1 = sum(1 for r in p.rewards if r.is_r1)
     if n_r0 != 1:
@@ -264,7 +247,7 @@ def validate_problem(p: QuantumDecisionProblem) -> ValidationReport:
         if act.domain.ambient_dim != p.dim:
             rep.add("act-ambient",
                     f"generator act {act.label!r} lives in "
-                    f"C^{act.domain.ambient_dim}", act=act.label)
+                    f"C^{act.domain.ambient_dim}")
     return rep
 
 

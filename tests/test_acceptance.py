@@ -523,8 +523,7 @@ def test_cli_contract(tmp_path):
            fx("overlap2"))
     expect(0, "born-theorem", "--seed", "0", "--samples", "60", fx("std8"))
     expect(1, "counterexample", "--seed", "0", "--samples", "80",
-           "--axiom", "branch-uniqueness", "--relax", "orthmacr",
-           fx("overlap2"))
+           "--axiom", "branch-uniqueness", fx("overlap2"))
     expect(0, "counterexample", "--seed", "0", "--samples", "40",
            "--axiom", "branch-uniqueness", fx("std6"))
     expect(0, "simulate", "--k", "2", "--weights", "0.5,0.5",

@@ -202,7 +202,7 @@ def test_irrev_witnesses_replay(overlap2, seed):
 def test_branch_uniqueness_witness_replays(overlap2, seed):
     p = overlap2.problem
     w, = golden_witnesses(
-        f"counterexample orthmacr branch-uniqueness overlap2 seed={seed}")
+        f"counterexample branch-uniqueness overlap2 seed={seed}")
     found = _decompositions(p, decode_state(w, p.dim))
     for listed in w["decompositions"]:
         assert any(f.keys() == listed.keys()
@@ -218,7 +218,7 @@ def test_branch_uniqueness_witness_replays(overlap2, seed):
 def test_equivalence_step_witness_replays(overlap2, seed):
     p = overlap2.problem
     w, = golden_witnesses(
-        f"counterexample orthmacr equivalence-step overlap2 seed={seed}")
+        f"counterexample equivalence-step overlap2 seed={seed}")
     act, psi = decode_act(w["act"], p.dim), decode_state(w, p.dim)
     whole = born_weights(p, act.apply(psi))
     blockwise = dict.fromkeys(p.reward_ids, 0.0)
@@ -234,6 +234,37 @@ def test_equivalence_step_witness_replays(overlap2, seed):
     gap = max(abs(whole[rid] - blockwise[rid]) for rid in p.reward_ids)
     assert gap == pytest.approx(w["weight_gap"], abs=1e-12)
     assert gap > SEARCH_GAP
+
+
+def test_equivalence_step_searches_each_catalog_act_once(irrev6, monkeypatch):
+    # with no gap large enough to stop the scan, each catalog act that
+    # spans two macrostates gets its share of the budget, once; the
+    # catalog already opens with the generators, irrev6's merge among them
+    from qdtbench import audit
+    p, budget = irrev6.problem, 200
+    catalog, applied = [], {}
+    real_catalog, real_apply = audit.richness_catalog, PartialIsometryAct.apply
+
+    def recorded_catalog(*args):
+        catalog[:] = real_catalog(*args)
+        applied.clear()
+        return list(catalog)
+
+    def apply(act, psi):
+        applied[id(act)] = applied.get(id(act), 0) + 1
+        return real_apply(act, psi)
+
+    monkeypatch.setattr(audit, "richness_catalog", recorded_catalog)
+    monkeypatch.setattr(audit, "SEARCH_GAP", float("inf"))
+    monkeypatch.setattr(PartialIsometryAct, "apply", apply)
+    assert find_counterexample(p, None, "equivalence-step", budget=budget,
+                               seed=0) is None
+    share = budget // len(catalog)
+    searched = [sum(act.domain.contains_subspace(m.subspace)
+                    for m in p.macrostates) >= 2 for act in catalog]
+    assert "merge" in [a.label for a, s in zip(catalog, searched) if s]
+    assert [applied.get(id(a), 0) for a in catalog] == [
+        share if s else 0 for s in searched]
 
 
 class CountingCalls:

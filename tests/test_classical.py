@@ -111,6 +111,36 @@ def test_vnm_checks_ask_each_member_pair_once(oracle):
         [(c.name, c.status, c.samples, c.failures) for c in plain]
 
 
+class CycleOracle(LotteryOracle):
+    """Ranks a lottery by its likeliest reward, with the rewards in a
+    strict three-cycle: each beats the one before it in `cycle`, and the
+    first beats the last."""
+
+    def __init__(self, cycle):
+        self.beats = {(cycle[(i + 1) % 3], cycle[i]) for i in range(3)}
+
+    def compare(self, a, b):
+        x, y = (max(lot.probs, key=lot.probs.get) for lot in (a, b))
+        if (x, y) in self.beats:
+            return Comparison.BETTER
+        return Comparison.WORSE if (y, x) in self.beats else Comparison.TIE
+
+
+@pytest.mark.parametrize("cycle", ["abc", "cba"], ids=["against", "along"])
+def test_ordering_finds_a_three_cycle_either_way_round(cycle):
+    # δa ≺ δb ≺ δc ≺ δa runs against the list order, its mirror along it
+    lotteries = [Lottery.delta(rid) for rid in "abc"]
+    oracle = CycleOracle(cycle)
+    ordering = check_vnm_axioms(lotteries, oracle, samples=5, seed=0)[0]
+    assert ordering.name == "Ordering" and ordering.status == "fail"
+    assert ordering.samples == 3 + 1     # three pairs, one triple
+    failure, = ordering.failures
+    assert failure["kind"] == "transitivity"
+    a, b, c = (Lottery(probs) for probs in failure["triple"])
+    assert oracle.compare(a, b) >= 0 and oracle.compare(b, c) >= 0
+    assert oracle.compare(a, c) < 0
+
+
 def test_pmeu_order_is_affine_invariant():
     base = {"w": 0.0, "m": 0.4, "b": 1.0}
     scaled = {rid: 3.0 * u + 2.0 for rid, u in base.items()}

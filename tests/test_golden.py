@@ -63,9 +63,9 @@ def cases() -> dict[str, list[str]]:
             "overlap2"]
     for axiom in ("branch-uniqueness", "equivalence-step"):
         for seed in ("0", "1"):
-            out[f"counterexample orthmacr {axiom} overlap2 seed={seed}"] = [
-                "counterexample", "--relax", "orthmacr", "--axiom", axiom,
-                "--seed", seed, "overlap2"]
+            out[f"counterexample {axiom} overlap2 seed={seed}"] = [
+                "counterexample", "--axiom", axiom, "--seed", seed,
+                "overlap2"]
     for axiom in ("Ord", "ActNDeg", "BrIndif", "ErIndif", "ReSup", "StaSup",
                   "MacIndif", "DiacCons", "BrCons", "SolCont"):
         out[f"counterexample counting {axiom} overlap2 seed=0"] = [
