@@ -4,13 +4,14 @@ lemma chain, on one concrete instance and oracle.
 Every check is a sampled (or, where small enough, exhaustive)
 instantiation of a universally quantified statement.  Each axiom and
 lemma is one function, listed in one of three ordered tables (richness,
-rationality, lemmas); the public audits run a whole table, and
+rationality, lemmas); a fourth table holds the two geometric searches,
+which no audit runs.  The public audits run a whole table, and
 `born_theorem_report` and `find_counterexample` run only the checks
 they report.  Audits are deterministic functions of (instance, oracle,
 samples, seed).  Streams: the check at position i of a table draws only
-from substream base + i, with base 0 (richness), 100 (rationality) or
-200 (lemmas); the richness act catalog draws from stream 90 and the two
-geometric counterexample searches from streams 300-302.  So adding
+from substream base + i, with base 0 (richness), 100 (rationality), 200
+(lemmas) or 300 (search); the richness act catalog draws from stream 90
+and the equivalence-step search's catalog from stream 302.  So adding
 samples to one check never shifts another, and a check run alone gives
 the same result as in its full audit.  A failing check records a
 replayable witness (serialized states, acts, margins).
@@ -242,8 +243,8 @@ class _Run:
 
     @cached_property
     def catalog(self) -> list[PartialIsometryAct]:
-        """The richness catalog, drawn from stream 90 at first use."""
-        return richness_catalog(self.p, _rng(self.seed, 90))
+        """The richness catalog, drawn from its own stream at first use."""
+        return richness_catalog(self.p, _rng(self.seed, _CATALOG_STREAM))
 
 
 def _events_to_audit(p: QuantumDecisionProblem, rng: np.random.Generator
@@ -1206,10 +1207,104 @@ def _state_with_support(p: QuantumDecisionProblem, support,
     return StateVector(vec)
 
 
+# -- geometric searches ------------------------------------------------------------
+#
+# One check per sampled state; each search returns at its first failure.
+
+def _decompositions(p: QuantumDecisionProblem,
+                    psi: StateVector) -> list[dict[str, float]]:
+    """All exact expressions of psi as a sum of macrostate components.
+
+    Solves the least-squares system over each macrostate subset and keeps
+    solutions with negligible residual.  With mutually orthogonal
+    macrostates there is at most one support set; overlapping macrostates
+    can admit several with genuinely different branch norms.
+    """
+    ids = list(p.macrostate_ids)
+    found: list[dict[str, float]] = []
+    for size in range(1, min(len(ids), DECOMPOSITION_MAX) + 1):
+        for subset in combinations(ids, size):
+            bases = [p.macrostate(m).subspace.basis for m in subset]
+            stacked = np.hstack(bases)
+            coeff, *_ = np.linalg.lstsq(stacked, psi.vec, rcond=None)
+            if _norm(stacked @ coeff - psi.vec) > TOL_ORTH:
+                continue
+            norms: dict[str, float] = {}
+            col = 0
+            degenerate = False
+            for m, b in zip(subset, bases):
+                k = b.shape[1]
+                comp_norm = _norm(coeff[col:col + k])
+                col += k
+                if comp_norm <= TOL_ORTH:
+                    degenerate = True  # same split as a smaller subset
+                    break
+                norms[m] = comp_norm
+            if degenerate:
+                continue
+            if not any(set(f) == set(norms)
+                       and max(abs(f[m] - norms[m])
+                               for m in norms) < SAME_NORMS_TOL
+                       for f in found):
+                found.append(norms)
+    return found
+
+
+def _branch_uniqueness(run, t, rng):
+    """A state has no two macrostate decompositions whose branch norms
+    differ (possible only when the orthogonality idealization is off)."""
+    p = run.p
+    full = p.event_of(p.macrostate_ids)
+    for _ in range(run.samples):
+        psi = random_state_in(full, rng)
+        for a, b in combinations(_decompositions(p, psi), 2):
+            gap = max(abs(a.get(m, 0.0) - b.get(m, 0.0))
+                      for m in set(a) | set(b))
+            if gap > SEARCH_GAP:
+                t.check(False, {"state": encode_vector(psi.vec),
+                                "decompositions": [a, b], "norm_gap": gap})
+                return
+        t.check(True)
+
+
+def _equivalence_step(run, t, rng):
+    """An act's blockwise reward weights equal its whole-act weights, the
+    additivity step that orthogonal images guarantee."""
+    p = run.p
+    catalog = richness_catalog(p, _rng(run.seed, _SEARCH_CATALOG_STREAM))
+    for act in catalog:
+        inside = [m for m in p.macrostates
+                  if act.domain.contains_subspace(m.subspace)]
+        if len(inside) < 2:
+            continue
+        for _ in range(max(1, run.samples // max(1, len(catalog)))):
+            psi = random_state_in(act.domain, rng)
+            whole = born_weights(p, act.apply(psi))
+            blockwise = {rid: 0.0 for rid in p.reward_ids}
+            for m in inside:
+                comp = project(m.subspace, psi)
+                if comp.norm <= TOL_ORTH:
+                    continue
+                img = restrict_act(act, m.subspace).apply(comp)
+                for rid in p.reward_ids:
+                    blockwise[rid] += (
+                        project(p.reward_subspace(rid), img).norm ** 2)
+            gap = max(abs(whole[rid] - blockwise[rid])
+                      for rid in p.reward_ids)
+            t.check(gap <= SEARCH_GAP,
+                    lambda: {"act": act_payload(act),
+                             "state": encode_vector(psi.vec),
+                             "whole_weights": whole,
+                             "blockwise_weights": blockwise,
+                             "weight_gap": gap})
+            if t.fail_count:
+                return
+
+
 # -- the registry ------------------------------------------------------------------
 
-#: audit kind -> (stream base, checks in report order); the check at
-#: position i draws from substream base + i
+#: table -> (stream base, checks in report order); the check at position
+#: i draws from substream base + i
 _TABLES = {
     "richness": (0, {
         "Indol": _indol, "Restr": _restr, "Compos": _compos,
@@ -1225,12 +1320,19 @@ _TABLES = {
         "RewardNondegeneracy": _reward_nondegeneracy, "Nullity": _nullity,
         "Dominance": _dominance, "Utility": _utility,
         "StandardAct": _standard_act, "BornTheorem": _born_theorem}),
+    "search": (300, {
+        "branch-uniqueness": _branch_uniqueness,
+        "equivalence-step": _equivalence_step}),
 }
+#: the stream the richness act catalog draws from
+_CATALOG_STREAM = 90
+#: the stream the equivalence-step search's act catalog draws from
+_SEARCH_CATALOG_STREAM = 302
 RICHNESS_AXIOMS = tuple(_TABLES["richness"][1])
 RATIONALITY_AXIOMS = tuple(_TABLES["rationality"][1])
 LEMMAS = tuple(_TABLES["lemmas"][1])
-COUNTEREXAMPLE_TARGETS = RATIONALITY_AXIOMS + ("branch-uniqueness",
-                                               "equivalence-step")
+SEARCH_TARGETS = tuple(_TABLES["search"][1])
+COUNTEREXAMPLE_TARGETS = RATIONALITY_AXIOMS + SEARCH_TARGETS
 
 
 def _audit(run: _Run, table: str, only=None, kind: str = "") -> AuditReport:
@@ -1274,124 +1376,22 @@ def born_theorem_report(p: QuantumDecisionProblem, utility: UtilityTable,
                   only=("Dominance", "StandardAct", "BornTheorem"))
 
 
-# -- counterexample search ---------------------------------------------------------
-
 def find_counterexample(p: QuantumDecisionProblem,
                         oracle: PreferenceOracle | None,
                         target: str, budget: int = 200,
-                        seed: int = 0) -> dict | None:
-    """Random search for a witness violating `target`; None if none found.
-
-    A rationality-axiom target runs that axiom's check alone at the
-    given budget, on the substream its full audit gives it.
-    "branch-uniqueness" looks for a state with two macrostate
-    decompositions whose branch norms differ (possible only when the
-    orthogonality idealization is off); "equivalence-step" looks for an
-    act whose blockwise reward weights disagree with the whole-act
-    weights, breaking the additivity step that orthogonal images
-    guarantee.
-    """
-    if target in RATIONALITY_AXIOMS:
+                        seed: int = 0) -> AxiomResult:
+    """Run the check for `target` alone at the given budget, on the
+    substream its table gives it; its first witness is the counterexample.
+    A rationality axiom runs its whole check, a geometric search stops at
+    its first witness."""
+    if target in SEARCH_TARGETS:
+        table = "search"
+    elif target in RATIONALITY_AXIOMS:
         if oracle is None:
             raise ValueError(f"target {target!r} needs an oracle")
-        res = _audit(_Run(p, budget, seed, oracle), "rationality",
-                     only=(target,)).results[0]
-        if res.status == "fail" and res.witnesses:
-            return {"target": target, "witness": res.witnesses[0]}
-        return None
-    if target == "branch-uniqueness":
-        return _search_branch_uniqueness(p, budget, seed)
-    if target == "equivalence-step":
-        return _search_equivalence_step(p, budget, seed)
-    raise ValueError(f"unknown counterexample target {target!r}; "
-                     f"choose from {', '.join(COUNTEREXAMPLE_TARGETS)}")
-
-
-def _decompositions(p: QuantumDecisionProblem,
-                    psi: StateVector) -> list[dict[str, float]]:
-    """All exact expressions of psi as a sum of macrostate components.
-
-    Solves the least-squares system over each macrostate subset and keeps
-    solutions with negligible residual.  With mutually orthogonal
-    macrostates there is at most one support set; overlapping macrostates
-    can admit several with genuinely different branch norms.
-    """
-    ids = list(p.macrostate_ids)
-    found: list[dict[str, float]] = []
-    for size in range(1, min(len(ids), DECOMPOSITION_MAX) + 1):
-        for subset in combinations(ids, size):
-            bases = [p.macrostate(m).subspace.basis for m in subset]
-            stacked = np.hstack(bases)
-            coeff, *_ = np.linalg.lstsq(stacked, psi.vec, rcond=None)
-            if _norm(stacked @ coeff - psi.vec) > TOL_ORTH:
-                continue
-            norms: dict[str, float] = {}
-            col = 0
-            degenerate = False
-            for m, b in zip(subset, bases):
-                k = b.shape[1]
-                comp_norm = _norm(coeff[col:col + k])
-                col += k
-                if comp_norm <= TOL_ORTH:
-                    degenerate = True  # same split as a smaller subset
-                    break
-                norms[m] = comp_norm
-            if degenerate:
-                continue
-            if not any(set(f) == set(norms)
-                       and max(abs(f[m] - norms[m])
-                               for m in norms) < SAME_NORMS_TOL
-                       for f in found):
-                found.append(norms)
-    return found
-
-
-def _search_branch_uniqueness(p: QuantumDecisionProblem, budget: int,
-                              seed: int) -> dict | None:
-    rng = _rng(seed, 300)
-    full = p.event_of(p.macrostate_ids)
-    for _ in range(budget):
-        psi = random_state_in(full, rng)
-        decomps = _decompositions(p, psi)
-        for a, b in combinations(decomps, 2):
-            gap = max(abs(a.get(m, 0.0) - b.get(m, 0.0))
-                      for m in set(a) | set(b))
-            if gap > SEARCH_GAP:
-                return _py({"target": "branch-uniqueness",
-                            "witness": {"state": encode_vector(psi.vec),
-                                        "decompositions": [a, b],
-                                        "norm_gap": gap}})
-    return None
-
-
-def _search_equivalence_step(p: QuantumDecisionProblem, budget: int,
-                             seed: int) -> dict | None:
-    rng = _rng(seed, 301)
-    catalog = richness_catalog(p, _rng(seed, 302))
-    for act in catalog:
-        inside = [m for m in p.macrostates
-                  if act.domain.contains_subspace(m.subspace)]
-        if len(inside) < 2:
-            continue
-        for _ in range(max(1, budget // max(1, len(catalog)))):
-            psi = random_state_in(act.domain, rng)
-            whole = born_weights(p, act.apply(psi))
-            blockwise = {rid: 0.0 for rid in p.reward_ids}
-            for m in inside:
-                comp = project(m.subspace, psi)
-                if comp.norm <= TOL_ORTH:
-                    continue
-                img = restrict_act(act, m.subspace).apply(comp)
-                for rid in p.reward_ids:
-                    blockwise[rid] += (
-                        project(p.reward_subspace(rid), img).norm ** 2)
-            gap = max(abs(whole[rid] - blockwise[rid])
-                      for rid in p.reward_ids)
-            if gap > SEARCH_GAP:
-                return _py({"target": "equivalence-step",
-                            "witness": {"act": act_payload(act),
-                                        "state": encode_vector(psi.vec),
-                                        "whole_weights": whole,
-                                        "blockwise_weights": blockwise,
-                                        "weight_gap": gap}})
-    return None
+        table = "rationality"
+    else:
+        raise ValueError(f"unknown counterexample target {target!r}; "
+                         f"choose from {', '.join(COUNTEREXAMPLE_TARGETS)}")
+    return _audit(_Run(p, budget, seed, oracle), table,
+                  only=(target,)).results[0]

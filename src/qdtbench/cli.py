@@ -191,18 +191,20 @@ def cmd_audit(args) -> int:
 
 def cmd_counterexample(args) -> int:
     seed = _seed_of(args)
+    targets = audit_mod.COUNTEREXAMPLE_TARGETS
+    if args.axiom not in targets:
+        raise UsageError(f"unknown counterexample target {args.axiom!r}; "
+                         f"choose from {', '.join(targets)}")
     # the geometric searches read the problem alone
-    geometric = (args.axiom in audit_mod.COUNTEREXAMPLE_TARGETS
-                 and args.axiom not in audit_mod.RATIONALITY_AXIOMS)
+    geometric = args.axiom in audit_mod.SEARCH_TARGETS
     if geometric and args.oracle is not None:
         raise UsageError(f"--oracle: the {args.axiom} search asks no oracle")
     display, inst = _load(args.instance)
     oracle = None if geometric else inst.oracle(args.oracle)
-    try:
-        witness = audit_mod.find_counterexample(
-            inst.problem, oracle, args.axiom, budget=args.samples, seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    res = audit_mod.find_counterexample(
+        inst.problem, oracle, args.axiom, budget=args.samples, seed=seed)
+    witness = ({"target": args.axiom, "witness": res.witnesses[0]}
+               if res.witnesses else None)
     doc = {"command": "counterexample", "instance": display,
            "axiom": args.axiom, "seed": seed,
            "budget": args.samples, "found": witness is not None,

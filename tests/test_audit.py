@@ -135,33 +135,33 @@ def test_born_theorem_report_focuses_on_final_lemmas(std6):
 # -- counterexample search ----------------------------------------------------
 
 def test_branch_uniqueness_counterexample_on_overlap(overlap2):
-    w = find_counterexample(overlap2.problem, overlap2.oracle("born"),
-                            "branch-uniqueness", budget=150, seed=0)
-    assert w is not None
-    assert w["target"] == "branch-uniqueness"
-    assert w["witness"]["norm_gap"] > 1e-6
+    res = find_counterexample(overlap2.problem, overlap2.oracle("born"),
+                              "branch-uniqueness", budget=150, seed=0)
+    assert res.name == "branch-uniqueness" and res.status == "fail"
+    w, = res.witnesses
+    assert w["norm_gap"] > 1e-6
     json.dumps(w)
 
 
 def test_no_counterexample_on_clean_instance(std6):
     for target in ("branch-uniqueness", "equivalence-step"):
-        w = find_counterexample(std6.problem, std6.oracle("born"),
-                                target, budget=80, seed=0)
-        assert w is None
+        res = find_counterexample(std6.problem, std6.oracle("born"),
+                                  target, budget=80, seed=0)
+        assert res.witnesses == []
 
 
 def test_equivalence_step_counterexample_on_merge(irrev6):
-    w = find_counterexample(irrev6.problem, irrev6.oracle("born"),
-                            "equivalence-step", budget=150, seed=0)
-    assert w is not None
-    assert w["witness"]["weight_gap"] > 1e-6
-    assert w["witness"]["act"]["label"] == "merge"
+    res = find_counterexample(irrev6.problem, irrev6.oracle("born"),
+                              "equivalence-step", budget=150, seed=0)
+    w, = res.witnesses
+    assert w["weight_gap"] > 1e-6
+    assert w["act"]["label"] == "merge"
 
 
 def test_rationality_target_reuses_audit(std6):
-    w = find_counterexample(std6.problem, std6.oracle("table"),
-                            "Ord", budget=100, seed=0)
-    assert w is not None
+    res = find_counterexample(std6.problem, std6.oracle("table"),
+                              "Ord", budget=100, seed=0)
+    assert res.witnesses
 
 
 # -- witnesses replayed from the golden reports -------------------------------
@@ -258,7 +258,7 @@ def test_equivalence_step_searches_each_catalog_act_once(irrev6, monkeypatch):
     monkeypatch.setattr(audit, "SEARCH_GAP", float("inf"))
     monkeypatch.setattr(PartialIsometryAct, "apply", apply)
     assert find_counterexample(p, None, "equivalence-step", budget=budget,
-                               seed=0) is None
+                               seed=0).witnesses == []
     share = budget // len(catalog)
     searched = [sum(act.domain.contains_subspace(m.subspace)
                     for m in p.macrostates) >= 2 for act in catalog]
@@ -295,20 +295,13 @@ def test_ord_asks_each_ordered_pair_once(std6):
 
 def test_single_axiom_search_matches_full_audit(overlap2):
     # the search runs only its target, on the substream the full audit
-    # gives it, so the witnesses must coincide
+    # gives it, so the results must coincide
     oracle = overlap2.oracle("counting")
     report = audit_rationality(overlap2.problem, oracle, samples=100, seed=0)
-    found = 0
     for target in RATIONALITY_AXIOMS:
-        w = find_counterexample(overlap2.problem, oracle, target,
-                                budget=100, seed=0)
-        res = report.result(target)
-        if res.witnesses:
-            found += 1
-            assert w == {"target": target, "witness": res.witnesses[0]}
-        else:
-            assert w is None
-    assert found
+        assert find_counterexample(overlap2.problem, oracle, target,
+                                   budget=100, seed=0) == report.result(target)
+    assert not report.ok
 
 
 # -- perturbation helper --------------------------------------------------

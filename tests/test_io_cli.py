@@ -648,16 +648,28 @@ def test_cli_exit_contract_on_fuzzed_numbers(case):
 
 def test_cli_backstop_turns_a_defect_into_one_error_line(monkeypatch,
                                                          capsys):
-    def broken(args):
+    # a defect in a command, or a ValueError inside a search check, which
+    # must not read as a usage error
+    from qdtbench import audit
+
+    def broken(*args):
         raise RuntimeError("kernel fault\nsecond line")
 
+    def refused(*args):
+        raise ValueError("not an isometry")
+
     monkeypatch.setattr(qdt_cli, "cmd_savage", broken)
-    assert qdt_cli.main(["savage", "--cells", "8"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: internal error at ")
-    assert captured.err.count("\n") == 1
-    assert "RuntimeError" in captured.err and "Traceback" not in captured.err
+    monkeypatch.setitem(audit._TABLES["search"][1], "branch-uniqueness",
+                        refused)
+    for argv, kind in ((["savage", "--cells", "8"], "RuntimeError"),
+                       (["counterexample", "--seed", "0", "--axiom",
+                         "branch-uniqueness", "overlap2"], "ValueError")):
+        assert qdt_cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error at ")
+        assert captured.err.count("\n") == 1
+        assert kind in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_commands_never_import_the_scipy_package(tmp_path):

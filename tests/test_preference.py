@@ -441,7 +441,7 @@ def test_nullity_asks_each_state_pair_once(std8, monkeypatch):
 def test_solcont_asks_each_probe_pair_once(std6):
     p, util = std6.problem, std6.utility
     oracle = _RecordingOracle(p, util)
-    assert find_counterexample(p, oracle, "SolCont", seed=0) is None
+    assert find_counterexample(p, oracle, "SolCont", seed=0).witnesses == []
     assert oracle.asked and max(oracle.asked.values()) == 1
 
 
