@@ -207,8 +207,8 @@ def cmd_counterexample(args) -> int:
                if res.witnesses else None)
     doc = {"command": "counterexample", "instance": display,
            "axiom": args.axiom, "seed": seed,
-           "budget": args.samples, "found": witness is not None,
-           "witness": witness}
+           "budget": args.samples, "checks": res.samples,
+           "found": witness is not None, "witness": witness}
     _write_report(doc, args.report)
     print(f"instance {display}: counterexample search for {args.axiom} "
           f"(seed={seed}, budget={args.samples})")

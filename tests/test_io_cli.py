@@ -518,20 +518,8 @@ def _outcome(argv, value, directory, capsys, monkeypatch):
     return rc, out, files
 
 
-#: flags whose two legal values change no outcome yet, with the reason
-_NO_EFFECT_YET = {
-    ("counterexample", "--samples"):
-        "each failing search finds its first witness within a budget of 1 "
-        "on every bundled fixture, and the report does not count the "
-        "checks that ran, so only the echoed budget moves",
-}
-
-
 @pytest.mark.parametrize("command, flag", [
-    pytest.param(*key, id=" ".join(key), marks=[
-        pytest.mark.xfail(strict=True, reason=_NO_EFFECT_YET[key])]
-        if key in _NO_EFFECT_YET else [])
-    for key in sorted(_FLAG_CALLS)])
+    pytest.param(*key, id=" ".join(key)) for key in sorted(_FLAG_CALLS)])
 def test_no_optional_flag_is_ignored(command, flag, tmp_path, capsys,
                                      monkeypatch):
     rest, one, two = _FLAG_CALLS[command, flag]
