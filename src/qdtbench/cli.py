@@ -5,8 +5,8 @@ Exit contract: 0 when everything audited passed, 1 when an audited
 property failed (the report carries a replayable witness), 2 on usage
 or I/O problems.  Reports are byte-identical for identical
 (instance, command, seed): keys are sorted, no timestamps or absolute
-paths are embedded.  Sampled commands require --seed (or QDT_SEED in
-the environment; the flag wins) so no report is irreproducible.
+paths are embedded.  Sampled commands require --seed so no report is
+irreproducible.
 """
 from __future__ import annotations
 
@@ -86,20 +86,11 @@ def _load(name: str) -> tuple[str, io_mod.LoadedInstance]:
 
 
 def _seed_of(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("QDT_SEED", "")
-        if not env:
-            raise UsageError(
-                "this command samples; pass --seed or set QDT_SEED")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise UsageError(f"QDT_SEED={env!r} is not an integer") from None
-    if seed < 0:
+    if args.seed is None:
+        raise UsageError("this command samples; pass --seed")
+    if args.seed < 0:
         raise UsageError("seed must be nonnegative")
-    return seed
+    return args.seed
 
 
 def _write_report(doc: dict, path: str | None) -> None:
@@ -423,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sampled:
             sp.add_argument("--samples", type=_positive_int, default=200)
             sp.add_argument("--seed", type=int, default=None,
-                            help="required unless QDT_SEED is set")
+                            help="required")
         if oracle_kinds:
             sp.add_argument("--oracle", choices=oracle_kinds, default=None,
                             help="override the document's oracle selector")

@@ -9,7 +9,6 @@ number.
 
 import json
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -493,9 +492,9 @@ def test_cli_contract(tmp_path):
     bad = total = 0
     notes = []
 
-    def expect(code, *args, env=None):
+    def expect(code, *args):
         nonlocal bad, total
-        res = cli(*args, env=env)
+        res = cli(*args)
         total += 1
         if res.returncode != code:
             bad += 1
@@ -533,8 +532,7 @@ def test_cli_contract(tmp_path):
     expect(1, "classical-vnm", "--seed", "0", "--oracle", "lex", fx("std6"))
     expect(0, "savage", "--cells", "8")
     # usage errors: missing seed, missing flag, unknown input
-    env = {k: v for k, v in os.environ.items() if k != "QDT_SEED"}
-    expect(2, "audit-rationality", fx("std6"), env=env)
+    expect(2, "audit-rationality", fx("std6"))
     expect(2, "sweep-grain", "--k", "2", "--weights", "0.5,0.5", "--n", "6")
     expect(2, "validate", "/no/such/file.json")
     expect(2, "no-such-command")

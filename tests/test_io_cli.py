@@ -212,13 +212,12 @@ def test_cli_missing_seed_is_usage_error():
     assert res.returncode == 2
 
 
-def test_cli_env_seed_fallback_and_flag_priority():
-    env = dict(os.environ, QDT_SEED="7")
-    res = cli("audit-richness", fx("min2"), env=env)
-    assert res.returncode == 0
-    assert b"seed=7" in res.stdout
-    res2 = cli("audit-richness", "--seed", "3", fx("min2"), env=env)
-    assert b"seed=3" in res2.stdout
+def test_cli_seed_comes_only_from_the_flag():
+    # the environment is not a second seed source
+    res = cli("audit-richness", fx("min2"),
+              env=dict(os.environ, QDT_SEED="7"))
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr.startswith(b"error:") and res.stderr.count(b"\n") == 1
 
 
 def test_cli_missing_file_is_io_error():
@@ -707,8 +706,7 @@ def test_cli_commands_never_import_the_scipy_package(tmp_path):
     """)
     src = str(Path(qdt_cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {k: v for k, v in os.environ.items() if k != "QDT_SEED"}
-    env["PYTHONPATH"] = path
+    env = dict(os.environ, PYTHONPATH=path)
     res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=env, capture_output=True, timeout=300)
     assert res.returncode == 0, res.stderr.decode()
