@@ -293,6 +293,16 @@ def test_ord_asks_each_ordered_pair_once(std6):
     assert set(counted.asked.values()) == {1}
 
 
+def test_every_check_and_catalog_draws_its_own_stream():
+    # a check's substream is base + i, so a table that outgrew its gap,
+    # or a third search check, would share a stream with another consumer
+    from qdtbench import audit
+    streams = [base + i for base, checks in audit._TABLES.values()
+               for i in range(len(checks))]
+    streams += [audit._CATALOG_STREAM, audit._SEARCH_CATALOG_STREAM]
+    assert len(set(streams)) == len(streams)
+
+
 def test_single_axiom_search_matches_full_audit(overlap2):
     # the search runs only its target, on the substream the full audit
     # gives it, so the results must coincide
