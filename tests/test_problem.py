@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdtbench.errors import TooManyMacrostates
+from qdtbench.forge import identity_act
 from qdtbench.hilbert import StateVector, Subspace
 from qdtbench.instances import haar_unitary
 from qdtbench.problem import (Macrostate, QuantumDecisionProblem, Reward,
@@ -68,6 +69,32 @@ def test_macrostate_claimed_by_two_rewards_is_reported():
     )
     p = QuantumDecisionProblem(dim=2, macrostates=macs, rewards=rewards)
     assert not validate_problem(p).ok
+
+
+def tiny_variant(**changes) -> QuantumDecisionProblem:
+    p = tiny_problem()
+    fields = {"dim": p.dim, "macrostates": p.macrostates,
+              "rewards": p.rewards}
+    return QuantumDecisionProblem(**{**fields, **changes})
+
+
+_ZERO_MAC = Macrostate(id="mz", subspace=Subspace.zero(2))
+
+
+# the loader refuses each of these documents before it validates, so only
+# a problem built in code reaches these kinds
+@pytest.mark.parametrize("kind, changes", [
+    ("dim", {"dim": 0}),
+    ("macrostate-ambient", {"dim": 3}),
+    ("macrostate-zero", {
+        "macrostates": tiny_problem().macrostates + (_ZERO_MAC,),
+        "rewards": (Reward(id="r0", members=("m0", "mz"), erasure="m0",
+                           is_r0=True),) + tiny_problem().rewards[1:]}),
+    ("act-ambient", {"act_generators": (identity_act(Subspace.full(3)),)}),
+])
+def test_library_only_violation_kind_is_reported(kind, changes):
+    report = validate_problem(tiny_variant(**changes))
+    assert {v.kind for v in report.violations} == {kind}
 
 
 # -- events -------------------------------------------------------------------
