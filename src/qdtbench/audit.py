@@ -1291,14 +1291,14 @@ def _equivalence_step(run, t, rng):
                         project(p.reward_subspace(rid), img).norm ** 2)
             gap = max(abs(whole[rid] - blockwise[rid])
                       for rid in p.reward_ids)
-            t.check(gap <= SEARCH_GAP,
-                    lambda: {"act": act_payload(act),
-                             "state": encode_vector(psi.vec),
-                             "whole_weights": whole,
-                             "blockwise_weights": blockwise,
-                             "weight_gap": gap})
-            if t.fail_count:
+            if gap > SEARCH_GAP:
+                t.check(False, {"act": act_payload(act),
+                                "state": encode_vector(psi.vec),
+                                "whole_weights": whole,
+                                "blockwise_weights": blockwise,
+                                "weight_gap": gap})
                 return
+            t.check(True)
 
 
 # -- the registry ------------------------------------------------------------------
