@@ -78,16 +78,14 @@ def tiny_variant(**changes) -> QuantumDecisionProblem:
     return QuantumDecisionProblem(**{**fields, **changes})
 
 
-_ZERO_MAC = Macrostate(id="mz", subspace=Subspace.zero(2))
-
-
 # the loader refuses each of these documents before it validates, so only
 # a problem built in code reaches these kinds
 @pytest.mark.parametrize("kind, changes", [
     ("dim", {"dim": 0}),
     ("macrostate-ambient", {"dim": 3}),
     ("macrostate-zero", {
-        "macrostates": tiny_problem().macrostates + (_ZERO_MAC,),
+        "macrostates": tiny_problem().macrostates + (
+            Macrostate(id="mz", subspace=Subspace.zero(2)),),
         "rewards": (Reward(id="r0", members=("m0", "mz"), erasure="m0",
                            is_r0=True),) + tiny_problem().rewards[1:]}),
     ("act-ambient", {"act_generators": (identity_act(Subspace.full(3)),)}),
