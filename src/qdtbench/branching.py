@@ -2,8 +2,10 @@
 
 A depth-n, k-outcome branching process has k^n leaves; we aggregate them
 by outcome-count vector, of which there are polynomially many in n.  The
-coarse-grained sweep walks the count vectors once and stores none; the
-counting measure's modal vector has a closed form and walks none.
+coarse-grained sweep walks the count vectors once and stores none, and
+skips whole a row of them whose leaves all fall in one threshold
+bucket; the counting measure's modal vector has a closed form and walks
+none.
 Multiplicities are exact big integers; per-leaf squared amplitudes are
 products of the branch weights.  The deviation norm evaluates masses
 (multiplicity x squared amplitude) in log space, so no product
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .errors import SeriesTooLarge, WeightSumError
@@ -160,12 +161,29 @@ def coarse_grain_count(weights: Sequence[float], depth: int,
     exceeds each threshold, in the order given.
 
     One pass over the count vectors, none stored: each vector's log
-    amplitude, sum_j c_j log w_j, is taken once and set against every
-    threshold.  theta = 0 counts every leaf (k^depth of them); the count
-    collapses as theta crosses the amplitude scales, which is the
-    instability this diagnostic is meant to exhibit.
+    amplitude, sum_j c_j log w_j, is folded left to right once and set
+    against every threshold.  theta = 0 counts every leaf (k^depth of
+    them); the count collapses as theta crosses the amplitude scales,
+    which is the instability this diagnostic is meant to exhibit.
     The depth and tree guards bound the walk, whatever the number of
     thresholds.
+
+    The walk goes a row at a time (see `_count_rows`).  The prefix part
+    of the fold, head, is taken once per row, and vector c of the row
+    is head + c a + (rest - c) b, with a and b the last two log weights:
+    the same floats as the whole fold.  Exactly, these values lie on
+    the segment between the row's ends c = 0 and c = rest.  Each
+    computed value rounds two products and two sums, so with u = 2^-53
+    it lies within gamma_3 S of its exact value, where gamma_3 =
+    3u / (1 - 3u) and S = |head| + rest max(|a|, |b|) bounds |head| +
+    c |a| + (rest - c) |b|.  So every computed value lies within
+    2 gamma_3 S < 6.1u S of the segment between the two computed ends.
+    The margin 2^-49 S = 8 epsilon S = 16u S is more than twice that,
+    and rounding it and adding it to the ends loses under 2u S.  So a
+    row with no cut within the margin of its ends has all its leaves,
+    mult 2^rest of them, in one bucket, and is counted without a visit
+    to its vectors.  Any other row is walked a vector at a time, each
+    run of equal buckets counted as it ends.
     """
     ws = _check_weights(weights)
     if depth < 0:
@@ -178,21 +196,37 @@ def coarse_grain_count(weights: Sequence[float], depth: int,
             f"{TREE_GUARD} words (the tree guard)")
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("grain threshold must be nonnegative")
-    # distinct log thresholds, ascending: a vector of log amplitude a
-    # counts for the first bisect_left(cuts, a) of them
+    # distinct log thresholds, ascending: a vector of log amplitude v
+    # counts for the first bisect_left(cuts, v) of them
     cuts = sorted({math.log(theta) for theta in thetas if theta != 0.0})
     above = [0] * (len(cuts) + 1)   # leaves by how many cuts they pass
     if cuts:
-        # sum_j c_j log w_j, summed in j order, with the logs taken once
         log_w = [math.log(w) for w in ws]
         if k == 1:
-            above[bisect_left(cuts, sum(map(mul, (depth,), log_w)))] = 1
-        for prefix, rest, mult in _count_rows(depth, k):
-            binom = 1
-            for c in range(rest + 1):
-                log_amp = sum(map(mul, prefix + (c, rest - c), log_w))
-                above[bisect_left(cuts, log_amp)] += mult * binom
-                binom = binom * (rest - c) // (c + 1)
+            above[bisect_left(cuts, depth * log_w[0])] = 1
+        else:
+            *log_head, a, b = log_w
+            top = max(abs(a), abs(b))
+            for prefix, rest, mult in _count_rows(depth, k):
+                head = 0.0
+                for c, lw in zip(prefix, log_head):
+                    head += c * lw
+                low, high = sorted((head + rest * b, head + rest * a))
+                margin = 2.0 ** -49 * (abs(head) + rest * top)
+                i = bisect_left(cuts, low - margin)
+                if i == len(cuts) or cuts[i] > high + margin:
+                    above[i] += mult << rest
+                    continue
+                run = leaves = 0
+                binom = 1
+                for c in range(rest + 1):
+                    i = bisect_left(cuts, head + c * a + (rest - c) * b)
+                    if i != run:
+                        above[run] += mult * leaves
+                        run, leaves = i, 0
+                    leaves += binom
+                    binom = binom * (rest - c) // (c + 1)
+                above[run] += mult * leaves
     passed = {}                     # log threshold -> leaves above it
     total = 0
     for cut, leaves in zip(reversed(cuts), reversed(above)):

@@ -51,8 +51,13 @@ def reference_deviation_norm(weights, n, eps):
 
 
 def log_amp2(weights, counts):
-    """log of the per-leaf squared amplitude prod_j w_j^c_j."""
-    return sum(c * math.log(w) for c, w in zip(counts, weights))
+    """log of the per-leaf squared amplitude prod_j w_j^c_j, folded left
+    to right as the sweep folds it (from Python 3.12 a float sum() is
+    compensated, and would not give the sweep's bits)."""
+    total = 0.0
+    for c, w in zip(counts, weights):
+        total += c * math.log(w)
+    return total
 
 
 def walked_nodes(n, k):
@@ -312,18 +317,34 @@ def test_coarse_grain_matches_log_amplitude_brute_force():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_coarse_grain_one_pass_matches_per_threshold_reference(k):
     # unequal weights, so the amplitudes take many values; every node's
-    # amplitude is a threshold, shuffled, with repeats, 0 and -0.0
+    # amplitude is a threshold, shuffled, with repeats, 0 and -0.0; and
+    # both its one-ulp neighbours, so a row that straddles a cut by an
+    # ulp on either side must be walked, not skipped whole
     raw = [1.0 + j for j in range(k)]
     weights = tuple(x / sum(raw) for x in raw)
+    # with the last two weights tied, a row's vectors share one exact
+    # amplitude and their rounded logs stray an ulp past the row's ends;
+    # cuts at the amplitudes inside rows alone (no cut at an end forces
+    # the walk) test the margin of the whole-row skip
+    tied = raw[:-1] + raw[-2:-1] if k > 1 else raw
+    tied = tuple(x / sum(tied) for x in tied)
     rng = random.Random(k)
     for n in range(13):
-        amps = sorted({math.exp(log_amp2(weights, c))
-                       for c in reference_nodes(n, k)} | {1.0})
+        nodes = reference_nodes(n, k)
+        amps = sorted({math.exp(log_amp2(weights, c)) for c in nodes}
+                      | {1.0})
         thetas = amps + rng.sample(amps, min(3, len(amps)))
+        thetas += [math.nextafter(a, to) for a in amps for to in (0, 2)]
         thetas += [0.0, -0.0, 0.0]
         rng.shuffle(thetas)
         assert (coarse_grain_count(weights, n, thetas)
                 == reference_grain_counts(weights, n, thetas)), (k, n)
+        inner = {math.exp(log_amp2(tied, c)) for c in nodes
+                 if min(c[-2:]) > 0}
+        thetas = sorted(inner | {math.nextafter(a, to) for a in inner
+                                 for to in (0, 2)})
+        assert (coarse_grain_count(tied, n, thetas)
+                == reference_grain_counts(tied, n, thetas)), (k, n)
 
 
 def test_coarse_grain_frozen_values():
