@@ -241,6 +241,22 @@ def test_cli_counterexample_exit_codes():
     assert clean.returncode == 0
 
 
+def test_cli_counterexample_reports_a_skipped_target(tmp_path, capsys):
+    # on overlap2 no StaSup, DiacCons or BrCons construction fits, so no
+    # check runs: the search says so and why, and still exits 0
+    for axiom in ("StaSup", "DiacCons", "BrCons"):
+        report = tmp_path / f"{axiom}.json"
+        assert qdt_cli.main(["counterexample", "--seed", "0", "--oracle",
+                             "counting", "--axiom", axiom, "overlap2",
+                             "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["status"], doc["checks"], doc["found"]) == ("skip", 0,
+                                                                False)
+        assert doc["note"].startswith("skipped: ")
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"no check could run - {doc['note']}", "RESULT skip"]
+
+
 def test_cli_reports_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ("audit-rationality", "--seed", "3", "--samples", "40",
